@@ -28,7 +28,7 @@ import time
 from _fixtures import BenchResult
 from repro.core.config import adv_enum_config
 from repro.core.context import Budget
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph

@@ -55,7 +55,7 @@ from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.context import Budget, ComponentContext
 from repro.core.enumerate import enumerate_component
 from repro.core.maximum import find_maximum_in_component
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.datasets.adversarial import build_instance
 from repro.graph.attributed_graph import AttributedGraph

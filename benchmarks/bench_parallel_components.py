@@ -8,7 +8,8 @@ each with a non-trivial search tree:
 
 * **enumeration** — a disjoint union of deep-tree onion instances
   (:mod:`repro.datasets.adversarial`) with *mixed* group sizes, so the
-  hardness-aware scheduler has real long poles to start first.  Each
+  pool has real long poles (the session submits the densest components
+  first).  Each
   component is a ~2k-node branch-and-bound tree over a small vertex set
   — high compute per payload byte, which is exactly the regime where a
   process pool pays off.  Components are independent, so the speedup is
@@ -53,9 +54,9 @@ import sys
 import time
 
 from _fixtures import BenchResult
+from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.executor import shutdown_pools
-from repro.core.solver import run_enumeration, run_maximum
 from repro.datasets.adversarial import build_instance
 from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
@@ -91,7 +92,7 @@ def onion_union(count: int, groups=(18,), **params) -> tuple:
     """Disjoint union of ``count`` onion instances (one component each).
 
     ``groups`` cycles per instance, so a multi-value tuple yields a
-    mixed-size workload (bigger components are hardness-scheduled
+    mixed-size workload (bigger, denser components are submitted
     first).
     """
     insts = [
@@ -113,6 +114,20 @@ def onion_union(count: int, groups=(18,), **params) -> tuple:
     return g, insts[0].k, insts[0].predicate()
 
 
+def solve_enum(graph, k, predicate, config):
+    """``(cores, stats)`` of one one-shot enumeration under ``config``."""
+    return enumerate_maximal_krcores(
+        graph, k, predicate=predicate, config=config, with_stats=True
+    )
+
+
+def solve_max(graph, k, predicate, config):
+    """``(best core or None, stats)`` of one one-shot maximum search."""
+    return find_maximum_krcore(
+        graph, k, predicate=predicate, config=config, with_stats=True
+    )
+
+
 def warm_pool(workers: int) -> float:
     """Spawn and warm both pool flavours; returns the one-off cost (s).
 
@@ -128,7 +143,7 @@ def warm_pool(workers: int) -> float:
     t0 = time.perf_counter()
     for flavour in ("process", "shm"):
         cfg = adv_enum_config(executor=flavour, workers=workers)
-        run_enumeration(g, 2, SimilarityPredicate("jaccard", 0.5), cfg)
+        solve_enum(g, 2, SimilarityPredicate("jaccard", 0.5), cfg)
     return time.perf_counter() - t0
 
 
@@ -202,9 +217,9 @@ def main(argv=None) -> int:
     failures = 0
     speedups = {}
     runs = (
-        ("enumerate", run_enumeration, (enum_g, enum_k, enum_pred),
+        ("enumerate", solve_enum, (enum_g, enum_k, enum_pred),
          serial_enum, par_enum),
-        ("maximum", run_maximum, (union, union_k, union_pred),
+        ("maximum", solve_max, (union, union_k, union_pred),
          serial_max, par_max),
     )
     for name, fn, wl, cfg_s, cfg_p in runs:
@@ -255,7 +270,7 @@ def main(argv=None) -> int:
     giant_times = {}
     giant_runs = {}
     for label, cfg in giant_cfgs:
-        (res, stats), secs = timed(run_maximum, *giant_wl, cfg)
+        (res, stats), secs = timed(solve_max, *giant_wl, cfg)
         giant_times[label] = secs
         giant_runs[label] = (res, stats)
         print(f"{'giant/' + label:>16}: {secs:7.2f}s  "

@@ -15,12 +15,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.config import (
-    SearchConfig,
-    resolve_enum_config,
-    resolve_max_config,
-)
-from repro.core.solver import run_enumeration, run_maximum
+from repro.core.config import SearchConfig
+from repro.core.session import KRCoreSession
+from repro.exceptions import SearchBudgetExceeded
 from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
 
@@ -63,20 +60,16 @@ class RunRecord:
         }
 
 
-def _enum_config(
-    algorithm: Union[str, SearchConfig], time_cap: Optional[float]
-) -> tuple:
-    """(config, engine) for a named or explicit enumeration algorithm."""
+def _run_capped(query, algorithm: Union[str, SearchConfig], time_cap, **kwargs):
+    """(result, stats) of one session query, partial when the cap trips."""
     if isinstance(algorithm, SearchConfig):
-        cfg, engine = algorithm, "engine"
-    elif algorithm.lower() in ("clique", "clique+"):
-        cfg, engine = resolve_enum_config("advanced"), "clique"
-    elif algorithm.lower() == "naive":
-        cfg, engine = resolve_enum_config("advanced"), "naive"
+        kwargs["config"] = algorithm
     else:
-        cfg, engine = resolve_enum_config(algorithm), "engine"
-    cfg = cfg.evolve(on_budget="partial", time_limit=time_cap)
-    return cfg, engine
+        kwargs["algorithm"] = algorithm
+    try:
+        return query(time_limit=time_cap, with_stats=True, **kwargs)
+    except SearchBudgetExceeded as exc:
+        return exc.partial
 
 
 def run_enum_timed(
@@ -88,9 +81,11 @@ def run_enum_timed(
     time_cap: float = DEFAULT_TIME_CAP,
 ) -> RunRecord:
     """Run a maximal-core enumeration under a time cap."""
-    cfg, engine = _enum_config(algorithm, time_cap)
+    session = KRCoreSession(graph, copy=False)
     start = time.monotonic()
-    cores, stats = run_enumeration(graph, k, predicate, cfg, engine)
+    cores, stats = _run_capped(
+        session.enumerate, algorithm, time_cap, k=k, predicate=predicate,
+    )
     elapsed = time.monotonic() - start
     sizes = [c.size for c in cores]
     return RunRecord(
@@ -115,13 +110,11 @@ def run_max_timed(
     time_cap: float = DEFAULT_TIME_CAP,
 ) -> RunRecord:
     """Run a maximum-core search under a time cap."""
-    if isinstance(algorithm, SearchConfig):
-        cfg = algorithm
-    else:
-        cfg = resolve_max_config(algorithm)
-    cfg = cfg.evolve(on_budget="partial", time_limit=time_cap)
+    session = KRCoreSession(graph, copy=False)
     start = time.monotonic()
-    core, stats = run_maximum(graph, k, predicate, cfg)
+    core, stats = _run_capped(
+        session.maximum, algorithm, time_cap, k=k, predicate=predicate,
+    )
     elapsed = time.monotonic() - start
     size = core.size if core else 0
     return RunRecord(

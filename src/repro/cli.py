@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional, Tuple
 
 from repro.core.api import (
@@ -74,8 +73,7 @@ def _execution_parent() -> argparse.ArgumentParser:
                          "segments (results identical across all three)")
     ex.add_argument("--workers", type=int, default=None, metavar="N",
                     help="pool width for the process/shm executors "
-                         "(deprecated without --executor: implies "
-                         "--executor process)")
+                         "(needs --executor or --shm)")
     ex.add_argument("--shm", action="store_true", default=False,
                     help="shorthand for --executor shm")
     ex.add_argument("--split-depth", type=int, default=None, metavar="D",
@@ -150,26 +148,18 @@ def _load_graph(args) -> Tuple[AttributedGraph, SimilarityPredicate]:
 
 
 def _executor_overrides(args) -> dict:
-    """Map the execution flags to ExecutionPlan override kwargs."""
-    out: dict = {}
-    if args.executor is not None:
-        out["executor"] = args.executor
-    if args.shm:
-        out["shm"] = True
-    if args.workers is not None:
-        if args.executor is None and not args.shm:
-            warnings.warn(
-                "--workers without --executor implies '--executor process'; "
-                "this implication is deprecated — pass --executor (or --shm) "
-                "explicitly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            out["executor"] = "process"
-        out["workers"] = args.workers
-    if args.split_depth is not None:
-        out["split_depth"] = args.split_depth
-    return out
+    """Fold the execution flags into one ``plan=`` kwarg (or none)."""
+    plan = {
+        name: value
+        for name, value in (
+            ("executor", args.executor),
+            ("shm", args.shm or None),
+            ("workers", args.workers),
+            ("split_depth", args.split_depth),
+        )
+        if value is not None
+    }
+    return {"plan": plan} if plan else {}
 
 
 def _cmd_mine(args) -> int:
@@ -570,6 +560,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.set_defaults(fn=_cmd_serve)
 
     args = parser.parse_args(argv)
+    if (
+        getattr(args, "workers", None) is not None
+        and args.executor is None
+        and not args.shm
+    ):
+        parser.error("--workers needs --executor process|shm (or --shm)")
     try:
         return args.fn(args)
     except ReproError as exc:

@@ -18,7 +18,6 @@ from repro.core.decomposition import (
     krcore_vertex_memberships,
     threshold_profile,
 )
-from repro.core.dynamic import DynamicKRCoreMiner
 from repro.core.executor import shutdown_pools
 from repro.core.heuristics import greedy_maximum_krcore
 from repro.core.config import (
@@ -53,7 +52,6 @@ __all__ = [
     "threshold_profile",
     "degree_profile",
     "krcore_vertex_memberships",
-    "DynamicKRCoreMiner",
     "greedy_maximum_krcore",
     "shutdown_pools",
     "ExecutionPlan",

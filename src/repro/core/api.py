@@ -11,16 +11,11 @@ All accept either a prepared
 :class:`~repro.similarity.threshold.SimilarityPredicate` or a
 ``(metric, r)`` pair, and either a named algorithm (Table 2 spelling) or
 an explicit :class:`~repro.core.config.SearchConfig`.  Execution is
-selected by an :class:`~repro.core.config.ExecutionPlan` (``plan=``);
-the loose ``executor=``/``workers=`` kwargs of earlier releases remain
-as deprecated aliases that resolve to the same plan.
+selected by an :class:`~repro.core.config.ExecutionPlan` (``plan=``).
 
 Each function is a thin wrapper constructing a throwaway
 :class:`~repro.core.session.KRCoreSession`: one call, one full
-preprocessing pass, identical results and cost to the classic one-shot
-path.  The shared :func:`_resolve_config` helper builds the single
-kwargs dict all three forward, so the three parameter surfaces cannot
-drift apart again.  Callers issuing *repeated* queries against the same
+preprocessing pass.  Callers issuing *repeated* queries against the same
 graph — several thresholds, several ``k``, statistics sweeps,
 edit/re-query loops — should hold a session instead, which caches every
 preprocessing layer between calls (see README "Sessions and repeated
@@ -31,50 +26,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.core.config import ExecutionPlan, SearchConfig, resolve_execution_plan
+from repro.core.config import ExecutionPlan, SearchConfig
 from repro.core.session import KRCoreSession
 from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
-
-
-def _resolve_config(
-    *,
-    metric: Union[str, Callable],
-    predicate: Optional[SimilarityPredicate],
-    algorithm: str,
-    config: Optional[SearchConfig],
-    backend: Optional[str],
-    plan: Optional[Union[ExecutionPlan, dict]],
-    executor: Optional[str],
-    workers: Optional[int],
-    shm: Optional[bool],
-    split_depth: Optional[int],
-    time_limit: Optional[float],
-    node_limit: Optional[int],
-    with_stats: bool,
-) -> dict:
-    """The shared kwargs bundle of the three one-shot entry points.
-
-    Validates the execution spelling up front — ``plan=`` and the loose
-    scalars are mutually exclusive, and a malformed plan raises
-    :class:`~repro.exceptions.InvalidParameterError` here rather than
-    deep inside the session — then hands every knob to the session,
-    which folds the overrides over the config's own
-    :class:`~repro.core.config.ExecutionPlan`.
-    """
-    # Build (and thereby validate) the requested plan; the session
-    # re-resolves against the config's plan as the base.
-    resolve_execution_plan(
-        plan=plan, executor=executor, workers=workers,
-        shm=shm, split_depth=split_depth,
-    )
-    return dict(
-        metric=metric, predicate=predicate, algorithm=algorithm,
-        config=config, backend=backend, plan=plan, executor=executor,
-        workers=workers, shm=shm, split_depth=split_depth,
-        time_limit=time_limit, node_limit=node_limit,
-        with_stats=with_stats,
-    )
 
 
 def enumerate_maximal_krcores(
@@ -88,10 +43,6 @@ def enumerate_maximal_krcores(
     config: Optional[SearchConfig] = None,
     backend: Optional[str] = None,
     plan: Optional[Union[ExecutionPlan, dict]] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    shm: Optional[bool] = None,
-    split_depth: Optional[int] = None,
     time_limit: Optional[float] = None,
     node_limit: Optional[int] = None,
     with_stats: bool = False,
@@ -126,10 +77,6 @@ def enumerate_maximal_krcores(
         ``"shm"``), worker count, shared-memory transport and
         branch-split depth in one object.  Results and merged stats are
         identical across executors.
-    executor / workers / shm / split_depth:
-        Deprecated loose spellings of the plan fields (one release);
-        they fold over the config's plan exactly as ``plan=`` would and
-        may not be combined with it.
     time_limit / node_limit:
         Optional budget; exceeded budgets raise
         :class:`~repro.exceptions.SearchBudgetExceeded` carrying partial
@@ -147,13 +94,11 @@ def enumerate_maximal_krcores(
         preprocessing across repeated queries on the same graph.
     """
     session = KRCoreSession(graph, copy=False)
-    return session.enumerate(k, r, **_resolve_config(
-        metric=metric, predicate=predicate, algorithm=algorithm,
-        config=config, backend=backend, plan=plan, executor=executor,
-        workers=workers, shm=shm, split_depth=split_depth,
-        time_limit=time_limit, node_limit=node_limit,
-        with_stats=with_stats,
-    ))
+    return session.enumerate(
+        k, r, metric=metric, predicate=predicate, algorithm=algorithm,
+        config=config, backend=backend, plan=plan, time_limit=time_limit,
+        node_limit=node_limit, with_stats=with_stats,
+    )
 
 
 def find_maximum_krcore(
@@ -167,10 +112,6 @@ def find_maximum_krcore(
     config: Optional[SearchConfig] = None,
     backend: Optional[str] = None,
     plan: Optional[Union[ExecutionPlan, dict]] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    shm: Optional[bool] = None,
-    split_depth: Optional[int] = None,
     time_limit: Optional[float] = None,
     node_limit: Optional[int] = None,
     with_stats: bool = False,
@@ -180,21 +121,18 @@ def find_maximum_krcore(
     ``algorithm`` is one of ``"basic"``, ``"advanced"`` (default),
     ``"advanced-ub"``, ``"advanced-o"``, ``"color-kcore"`` — see Table 2
     and Figure 12(b).  Other parameters as in
-    :func:`enumerate_maximal_krcores` (including ``plan=`` and its
-    deprecated loose aliases); ``split_depth`` is most useful here — a
-    single giant component's search tree splits into independent
-    subtree tasks.  Repeated queries should use a
+    :func:`enumerate_maximal_krcores` (including ``plan=``); the plan's
+    ``split_depth`` is most useful here — a single giant component's
+    search tree splits into independent subtree tasks.  Repeated queries should use a
     :class:`~repro.core.session.KRCoreSession` (README "Sessions and
     repeated queries").
     """
     session = KRCoreSession(graph, copy=False)
-    return session.maximum(k, r, **_resolve_config(
-        metric=metric, predicate=predicate, algorithm=algorithm,
-        config=config, backend=backend, plan=plan, executor=executor,
-        workers=workers, shm=shm, split_depth=split_depth,
-        time_limit=time_limit, node_limit=node_limit,
-        with_stats=with_stats,
-    ))
+    return session.maximum(
+        k, r, metric=metric, predicate=predicate, algorithm=algorithm,
+        config=config, backend=backend, plan=plan, time_limit=time_limit,
+        node_limit=node_limit, with_stats=with_stats,
+    )
 
 
 def krcore_statistics(
@@ -208,10 +146,6 @@ def krcore_statistics(
     config: Optional[SearchConfig] = None,
     backend: Optional[str] = None,
     plan: Optional[Union[ExecutionPlan, dict]] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    shm: Optional[bool] = None,
-    split_depth: Optional[int] = None,
     time_limit: Optional[float] = None,
     node_limit: Optional[int] = None,
     with_stats: bool = False,
@@ -226,10 +160,8 @@ def krcore_statistics(
 KRCoreSession.sweep>` (README "Sessions and repeated queries").
     """
     session = KRCoreSession(graph, copy=False)
-    return session.statistics(k, r, **_resolve_config(
-        metric=metric, predicate=predicate, algorithm=algorithm,
-        config=config, backend=backend, plan=plan, executor=executor,
-        workers=workers, shm=shm, split_depth=split_depth,
-        time_limit=time_limit, node_limit=node_limit,
-        with_stats=with_stats,
-    ))
+    return session.statistics(
+        k, r, metric=metric, predicate=predicate, algorithm=algorithm,
+        config=config, backend=backend, plan=plan, time_limit=time_limit,
+        node_limit=node_limit, with_stats=with_stats,
+    )

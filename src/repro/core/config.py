@@ -64,10 +64,9 @@ MAX_SPLIT_DEPTH = 12
 class ExecutionPlan:
     """How component searches execute — the four knobs as one object.
 
-    Replaces the loose ``executor``/``workers`` pair of earlier
-    releases as the single value threaded through
-    :class:`SearchConfig`, :class:`~repro.core.session.KRCoreSession`,
-    the one-shot API, the CLI and the service request knobs.
+    The single execution value threaded through :class:`SearchConfig`,
+    :class:`~repro.core.session.KRCoreSession`, the one-shot API, the
+    CLI and the service request knobs.
 
     ``executor`` and ``shm`` are two spellings of one choice and are
     kept in sync on construction: ``executor="shm"`` implies
@@ -107,74 +106,23 @@ class ExecutionPlan:
 
 
 def resolve_execution_plan(
-    base: Optional[ExecutionPlan] = None,
-    *,
     plan: Optional[Union[ExecutionPlan, dict]] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    shm: Optional[bool] = None,
-    split_depth: Optional[int] = None,
 ) -> Optional[ExecutionPlan]:
-    """Fold a ``plan=`` value or the loose legacy scalars into one plan.
+    """Validate a ``plan=`` value: an :class:`ExecutionPlan` or its field dict.
 
-    Exactly one spelling may be used per call: a whole ``plan`` (an
-    :class:`ExecutionPlan` or its field dict), or any subset of the four
-    scalars, which override the corresponding fields of ``base`` (the
-    config's current plan).  Returns ``None`` when nothing was
-    requested, so callers can skip the config evolve entirely.
-
-    The ``executor``/``shm`` pairing is resolved the way callers mean
-    it: overriding ``executor`` alone re-derives ``shm``, and
-    ``shm=False`` alone demotes an ``"shm"`` plan to ``"process"``
-    (keeping the pool) rather than to serial.
+    Returns ``None`` when no plan was requested, so callers can skip the
+    config evolve entirely.
     """
-    scalars = {
-        "executor": executor,
-        "workers": workers,
-        "shm": shm,
-        "split_depth": split_depth,
-    }
-    given = {name: value for name, value in scalars.items() if value is not None}
-    if plan is not None:
-        if given:
-            raise InvalidParameterError(
-                "pass either plan= or the executor/workers/shm/split_depth "
-                f"scalars, not both (got plan= and {sorted(given)})"
-            )
-        if isinstance(plan, dict):
-            plan = ExecutionPlan(**plan)
-        if not isinstance(plan, ExecutionPlan):
-            raise InvalidParameterError(
-                f"plan must be an ExecutionPlan or a field dict, "
-                f"got {type(plan).__name__}"
-            )
-        return plan
-    if not given:
+    if plan is None:
         return None
-    if base is None:
-        base = ExecutionPlan()
-    fields = {
-        "executor": base.executor,
-        "workers": base.workers,
-        "shm": base.shm,
-        "split_depth": base.split_depth,
-    }
-    if executor is not None:
-        fields["executor"] = executor
-        if shm is None:
-            fields["shm"] = executor == "shm"
-    if shm is not None:
-        fields["shm"] = shm
-        if executor is None:
-            if shm:
-                fields["executor"] = "shm"
-            elif fields["executor"] == "shm":
-                fields["executor"] = "process"
-    if workers is not None:
-        fields["workers"] = workers
-    if split_depth is not None:
-        fields["split_depth"] = split_depth
-    return ExecutionPlan(**fields)
+    if isinstance(plan, dict):
+        plan = ExecutionPlan(**plan)
+    if not isinstance(plan, ExecutionPlan):
+        raise InvalidParameterError(
+            f"plan must be an ExecutionPlan or a field dict, "
+            f"got {type(plan).__name__}"
+        )
+    return plan
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ execution layer that exploits that:
   order components by (hardest first, so big components start while the
   pool drains the small ones);
 * :data:`MAXIMUM_BATCH` — the fixed batch width of the maximum solver's
-  two-phase schedule (see :func:`repro.core.solver.run_maximum`).
+  two-phase schedule (see :func:`repro.core.solver.iter_maximum_batches`).
 
 Selection happens via the config's :class:`~repro.core.config.ExecutionPlan`
 (``executor`` ``"serial"`` | ``"process"`` | ``"shm"``, plus ``workers``,
@@ -74,7 +74,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.config import (  # noqa: F401  (ExecutionPlan re-exported)
     ExecutionPlan,
     SearchConfig,
-    resolve_execution_plan,
 )
 from repro.core.context import BitsetComponentContext, Budget, ComponentContext
 from repro.core.shm import (

@@ -65,28 +65,14 @@ def greedy_core_in_component(ctx: ComponentContext) -> Optional[FrozenSet[int]]:
 def greedy_maximum_krcore(graph, k, predicate) -> Optional["KRCore"]:
     """Approximate maximum (k,r)-core in polynomial time.
 
-    Runs the greedy peeling on every k-core component and returns the
-    largest core found (or ``None``).  The result is always a valid
-    (k,r)-core but may be smaller than the true maximum — use
+    The session's ``mode="heuristic"`` maximum query: the greedy peeling
+    on every k-core component, keeping the largest core found (or
+    ``None``).  The result is always a valid (k,r)-core but may be
+    smaller than the true maximum — use
     :func:`repro.core.api.find_maximum_krcore` for the exact answer.
     """
-    from repro.core.config import adv_max_config
-    from repro.core.context import Budget
-    from repro.core.results import KRCore
-    from repro.core.solver import prepare_components
-    from repro.core.stats import SearchStats
+    from repro.core.session import KRCoreSession
 
-    stats = SearchStats()
-    contexts = prepare_components(
-        graph, k, predicate, adv_max_config(), stats, Budget(None, None),
-    )
-    best: Optional[FrozenSet[int]] = None
-    for ctx in contexts:
-        if best is not None and len(ctx.vertices) <= len(best):
-            continue
-        found = greedy_core_in_component(ctx)
-        if found is not None and (best is None or len(found) > len(best)):
-            best = found
-    if best is None:
-        return None
-    return KRCore(best, k, predicate.r)
+    return KRCoreSession(graph, copy=False).maximum_outcome(
+        k, predicate=predicate, mode="heuristic",
+    ).core

@@ -326,7 +326,7 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         if dead_sigs:
             # Enumeration entries merge order-independently, so only the
             # dead signatures' entries go.  Maximum-mode entries are
-            # evicted *family-wide*: ``_run_maximum`` folds an exact
+            # evicted *family-wide*: ``_solve_maximum`` folds an exact
             # cache hit into the incumbent at batch-formation time, so a
             # surviving entry for a schedule-later component could
             # capture a size tie that a fresh (all-miss) run awards to a

@@ -126,6 +126,29 @@ def resolve_enumeration_setup(
     return "engine", resolve_enum_config(key)
 
 
+def prepare_components(
+    graph: Union[AttributedGraph, CSRGraph],
+    k: int,
+    predicate: SimilarityPredicate,
+    config: SearchConfig,
+    stats: SearchStats,
+    budget: Budget,
+) -> List[ComponentContext]:
+    """One :class:`ComponentContext` per connected k-core component.
+
+    Algorithm 1 lines 1–4 as a throwaway session runs them (the one
+    preprocessing pipeline), for callers that drive the per-component
+    engines themselves: the fuzz oracle, kernel benchmarks, white-box
+    tests.  ``config.backend`` selects the kernels; components come in
+    the session's largest-max-degree-first order.
+    """
+    session = KRCoreSession(graph, copy=False)
+    return [
+        session._context(part, k, config, stats, budget)
+        for part in session._prepare(k, predicate, config.backend, stats)
+    ]
+
+
 class _PreparedComponent:
     """One component's cached preprocessing output (query-independent).
 
@@ -536,10 +559,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -547,20 +566,16 @@ class KRCoreSession:
         """All maximal (k,r)-cores, sorted by decreasing size.
 
         Mirrors :func:`repro.core.api.enumerate_maximal_krcores`
-        parameter-for-parameter (``plan=`` selects execution; the loose
-        ``executor=``/``workers=``/``shm=``/``split_depth=`` spellings
-        are deprecated aliases); repeated queries are served from the
-        session caches (observable via the stats reuse counters).
+        parameter-for-parameter (``plan=`` selects execution); repeated
+        queries are served from the session caches (observable via the
+        stats reuse counters).
         """
         predicate = self._resolve_predicate(r, metric, predicate)
         engine, cfg = resolve_enumeration_setup(
             algorithm, config if config is not None else self._default_config
         )
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, node_limit, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
-        cores, stats = self._run_enumeration(k, predicate, cfg, engine)
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, node_limit)
+        cores, stats = self._solve_enumeration(k, predicate, cfg, engine)
         cores.sort(key=lambda c: (-c.size, sorted(c.vertices)))
         self.total_stats.merge(stats)
         if with_stats:
@@ -578,10 +593,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -594,11 +605,8 @@ class KRCoreSession:
             cfg = self._default_config
         else:
             cfg = resolve_max_config(algorithm)
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, node_limit, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
-        core, stats = self._run_maximum(k, predicate, cfg)
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, node_limit)
+        core, stats = self._solve_maximum(k, predicate, cfg)
         self.total_stats.merge(stats)
         if with_stats:
             return core, stats
@@ -616,10 +624,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -649,10 +653,7 @@ class KRCoreSession:
             cfg = self._default_config
         else:
             cfg = resolve_max_config(algorithm)
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, node_limit, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, node_limit)
         mode = mode if mode is not None else cfg.mode
         if mode not in QUERY_MODES:
             raise InvalidParameterError(
@@ -685,7 +686,7 @@ class KRCoreSession:
             return (outcome, stats) if with_stats else outcome
 
         run_cfg = cfg.evolve(on_budget="partial") if mode == "anytime" else cfg
-        core, stats = self._run_maximum(k, predicate, run_cfg)
+        core, stats = self._solve_maximum(k, predicate, run_cfg)
         self.total_stats.merge(stats)
         size = core.size if core is not None else 0
         if stats.timed_out:
@@ -742,10 +743,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -766,9 +763,8 @@ class KRCoreSession:
             cores, stats = self.enumerate(
                 k, r, metric=metric, predicate=predicate,
                 algorithm=algorithm, config=config, backend=backend,
-                plan=plan, executor=executor, workers=workers, shm=shm,
-                split_depth=split_depth, time_limit=time_limit,
-                node_limit=node_limit, with_stats=True,
+                plan=plan, time_limit=time_limit, node_limit=node_limit,
+                with_stats=True,
             )
         except SearchBudgetExceeded as exc:
             cores, stats = exc.partial
@@ -792,10 +788,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -803,8 +795,7 @@ class KRCoreSession:
         """Count / max size / average size of all maximal (k,r)-cores."""
         cores, stats = self.enumerate(
             k, r, metric=metric, predicate=predicate, algorithm=algorithm,
-            config=config, backend=backend, plan=plan, executor=executor,
-            workers=workers, shm=shm, split_depth=split_depth,
+            config=config, backend=backend, plan=plan,
             time_limit=time_limit, node_limit=node_limit, with_stats=True,
         )
         summary = summarize_cores(cores)
@@ -823,10 +814,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
     ) -> Dict[int, int]:
@@ -836,8 +823,7 @@ class KRCoreSession:
         """
         cores = self.enumerate(
             k, r, metric=metric, predicate=predicate, algorithm=algorithm,
-            config=config, backend=backend, plan=plan, executor=executor,
-            workers=workers, shm=shm, split_depth=split_depth,
+            config=config, backend=backend, plan=plan,
             time_limit=time_limit, node_limit=node_limit,
         )
         counts: Dict[int, int] = {}
@@ -857,10 +843,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         with_stats: bool = False,
     ):
@@ -883,10 +865,7 @@ class KRCoreSession:
         engine, cfg = resolve_enumeration_setup(
             algorithm, config if config is not None else self._default_config
         )
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, None, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, None)
         if make_executor(cfg) is not None:
             self._sweep_prefill(ks, rs, metric, predicate, engine, cfg, agg)
         rows_by: Dict[Tuple[int, float], Dict[str, float]] = {}
@@ -901,9 +880,7 @@ class KRCoreSession:
                         else None
                     ),
                     algorithm=algorithm, config=config, backend=backend,
-                    plan=plan, executor=executor, workers=workers,
-                    shm=shm, split_depth=split_depth,
-                    time_limit=time_limit, with_stats=True,
+                    plan=plan, time_limit=time_limit, with_stats=True,
                 )
                 rows_by[(k_, r_)] = {"k": k_, "r": r_, **summary}
                 agg.merge(stats)
@@ -1010,22 +987,14 @@ class KRCoreSession:
         self,
         cfg: SearchConfig,
         backend: Optional[str],
+        plan: Optional[Union[ExecutionPlan, dict]],
         time_limit: Optional[float],
         node_limit: Optional[int],
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        *,
-        plan: Optional[Union[ExecutionPlan, dict]] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
     ) -> SearchConfig:
         backend = backend if backend is not None else self._default_backend
         if backend is not None:
             cfg = cfg.evolve(backend=backend)
-        resolved = resolve_execution_plan(
-            base=cfg.plan, plan=plan, executor=executor, workers=workers,
-            shm=shm, split_depth=split_depth,
-        )
+        resolved = resolve_execution_plan(plan)
         if resolved is not None:
             cfg = cfg.evolve(plan=resolved)
         if time_limit is not None:
@@ -1052,7 +1021,7 @@ class KRCoreSession:
             executor="serial", workers=None, mode="exact",
         )
 
-    def _run_enumeration(
+    def _solve_enumeration(
         self,
         k: int,
         predicate: SimilarityPredicate,
@@ -1125,7 +1094,7 @@ class KRCoreSession:
         stats.elapsed = time.monotonic() - start
         return cores, stats
 
-    def _run_maximum(
+    def _solve_maximum(
         self,
         k: int,
         predicate: SimilarityPredicate,

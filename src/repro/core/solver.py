@@ -1,65 +1,51 @@
-"""Solver orchestration: preprocessing pipeline and per-component dispatch.
+"""Algorithm 1's front-end stages and the per-component solve helpers.
 
-Algorithm 1's shared front end (lines 1–4) is decomposed into reusable
-stages so both the one-shot path and the prepared-session path
-(:class:`repro.core.session.KRCoreSession`) compose the same kernels:
+Algorithm 1's shared front end (lines 1–4) is decomposed into one
+function per stage; :class:`repro.core.session.KRCoreSession` — which
+runs every public query — composes them with its caches interposed
+between the stages:
 
 * :func:`freeze_graph`        — CSR build (csr backend substrate);
-* :func:`filter_similar_edges` — dissimilar-edge deletion;
 * :func:`kcore_survivors`     — k-core peel (optionally warm-started);
 * :func:`component_sets`      — connected-component split;
 * :func:`component_adjacency` — per-component similar-edge adjacency;
-* :func:`component_index`     — per-component dissimilarity index;
-* :func:`order_components`    — the shared hardest-estimated-first ordering.
+* :func:`component_index`     — per-component dissimilarity index.
 
-:func:`prepare_components` chains them; the session interposes its
-caches between the stages instead.  Budget policy (`on_budget`) is
-applied in :func:`run_enumeration` / :func:`run_maximum` so the engines
-stay exception-transparent.
+Dissimilar-edge deletion lives in
+:class:`~repro.similarity.cache.EdgeSimilarityCache` (per-edge metric
+values computed once, thresholds re-compared).
 
-Per-component execution is pluggable (:mod:`repro.core.executor`):
-``SearchConfig.executor == "serial"`` keeps the classic in-process loops
-(shared budget, warm caches); ``"process"`` fans the independent
-component tasks out over a worker pool, hardness-ordered so the big
-components start first.  The maximum solver runs a two-phase schedule
-either way: components sorted by their ``|V|`` bound are solved in
-fixed-width batches, each batch seeded with the best core of the
-previous batches, with the ``|component| <= |best|`` early termination
-applied between batches — so serial and parallel runs produce identical
-results and identical merged stats.
+The maximum solver's two-phase schedule is shared the same way:
+components sorted by their ``|V|`` bound (:func:`maximum_schedule`) are
+solved in fixed-width batches (:func:`iter_maximum_batches`), each batch
+seeded with the best core of the previous batches, with the
+``|component| <= |best|`` early termination applied between batches —
+so serial and parallel runs produce identical results and identical
+merged stats.  :func:`solve_component_split` is the branch-level
+work-sharing variant for one component (``split_depth > 0``).
 """
 
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Union
 
 import numpy as np
 
 from repro.core.clique_based import clique_based_component
-from repro.core.config import SearchConfig
-from repro.core.context import Budget, ComponentContext
+from repro.core.context import ComponentContext
 from repro.core.enumerate import enumerate_component
 from repro.core.executor import (
     MAXIMUM_BATCH,
     SPLIT_BATCH,
-    component_sort_key,
-    make_executor,
     merge_outcome,
     remaining_time,
     task_from_context,
 )
-from repro.core.maximum import (
-    find_maximum_in_component,
-    solve_subtree,
-    split_frontier,
-)
+from repro.core.maximum import solve_subtree, split_frontier
 from repro.core.shm import SharedBound, pack_component, release_segment
 from repro.core.naive import naive_enumerate_component
-from repro.core.results import KRCore
-from repro.core.stats import SearchStats
-from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
+from repro.exceptions import InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.components import connected_components
 from repro.graph.csr import (
@@ -69,11 +55,7 @@ from repro.graph.csr import (
     k_core_mask,
 )
 from repro.graph.kcore import k_core_vertices
-from repro.similarity.index import (
-    build_index,
-    remove_dissimilar_edges,
-    remove_dissimilar_edges_csr,
-)
+from repro.similarity.index import build_index
 from repro.similarity.threshold import SimilarityPredicate
 
 ComponentFn = Callable[[ComponentContext], List[FrozenSet[int]]]
@@ -83,9 +65,6 @@ ENUM_ENGINES: Dict[str, ComponentFn] = {
     "naive": naive_enumerate_component,
     "clique": clique_based_component,
 }
-
-# Backwards-compatible alias (pre-session name).
-_ENUM_ENGINES = ENUM_ENGINES
 
 #: Survivor sets are plain vertex sets on the python backend and boolean
 #: masks on the csr backend.
@@ -111,28 +90,6 @@ def freeze_graph(graph: Union[AttributedGraph, CSRGraph]) -> CSRGraph:
     if isinstance(graph, CSRGraph):
         return graph
     return CSRGraph.from_attributed(graph)
-
-
-def thaw_graph(graph: Union[AttributedGraph, CSRGraph]) -> AttributedGraph:
-    """Set-based view of the graph (identity when already mutable)."""
-    if isinstance(graph, CSRGraph):
-        return graph.to_attributed()
-    return graph
-
-
-def filter_similar_edges(
-    graph: Union[AttributedGraph, CSRGraph],
-    predicate: SimilarityPredicate,
-    backend: str,
-):
-    """Algorithm 1 lines 1–2: delete every dissimilar edge.
-
-    Returns a filtered graph of the backend's flavour (CSR for
-    ``"csr"``, a fresh :class:`AttributedGraph` for ``"python"``).
-    """
-    if backend == "csr":
-        return remove_dissimilar_edges_csr(freeze_graph(graph), predicate)
-    return remove_dissimilar_edges(thaw_graph(graph), predicate)
 
 
 def kcore_survivors(
@@ -233,145 +190,6 @@ def component_edges_key_csr(comp: Set[int], filtered, survivors) -> bytes:
 def max_component_degree(adj: Dict[int, Set[int]]) -> int:
     """Largest in-component degree (0 for an empty component)."""
     return max((len(nbrs) for nbrs in adj.values()), default=0)
-
-
-def order_components(contexts: List[ComponentContext]) -> List[ComponentContext]:
-    """Hardest-estimated first — the single scheduling order.
-
-    Serial loops and the parallel executors order components by the same
-    :func:`~repro.core.executor.component_hardness` estimate (size times
-    branching pressure), generalising the old max-degree-only proxy: a
-    large sparse component now outranks a tiny dense one, which is what
-    both the Section 6.1 seeding rule wants (big components first) and
-    what a pool wants (start the long poles immediately).  The key's
-    tie-breaks (size, then smallest vertex id) make the order a pure
-    function of the component set, identical across backends.
-    """
-    if not contexts:
-        return contexts
-    keyed = [
-        (
-            component_sort_key(
-                len(ctx.vertices),
-                max_component_degree(ctx.adj),
-                min(ctx.vertices),
-            ),
-            ctx,
-        )
-        for ctx in contexts
-    ]
-    keyed.sort(key=lambda pair: pair[0])
-    return [ctx for _, ctx in keyed]
-
-
-# ----------------------------------------------------------------------
-# One-shot composition
-# ----------------------------------------------------------------------
-
-def prepare_components(
-    graph: Union[AttributedGraph, CSRGraph],
-    k: int,
-    predicate: SimilarityPredicate,
-    config: SearchConfig,
-    stats: SearchStats,
-    budget: Budget,
-) -> List[ComponentContext]:
-    """Shared preprocessing; one context per connected k-core component.
-
-    The pipeline is Algorithm 1 lines 1–4: delete dissimilar edges, peel
-    the k-core, split into connected components, and build each
-    component's dissimilarity index.  ``config.backend`` selects the
-    kernels: ``"csr"`` freezes the graph into a
-    :class:`~repro.graph.csr.CSRGraph` once and runs the vectorised
-    array kernels end to end; ``"python"`` is the original set-based
-    reference path.  Both produce identical contexts.
-
-    The same switch also selects the *search engine* implementation the
-    contexts will be run through: on ``"csr"`` the engines pack each
-    component into a
-    :class:`~repro.core.context.BitsetComponentContext` (lazily, on
-    first search; sessions cache the packed form across queries) and
-    search in bitmask space, on ``"python"`` they use the set-based
-    reference loops.  Results are identical either way.
-
-    Components are returned largest-max-degree first (the seeding rule of
-    Section 6.1; harmless for enumeration).
-    """
-    if k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k}")
-    backend = config.backend
-    if backend == "csr":
-        source: Union[AttributedGraph, CSRGraph] = freeze_graph(graph)
-    else:
-        source = thaw_graph(graph)
-    filtered = filter_similar_edges(source, predicate, backend)
-    survivors = kcore_survivors(filtered, k, backend)
-    contexts: List[ComponentContext] = []
-    for comp in component_sets(filtered, survivors, backend):
-        contexts.append(
-            ComponentContext(
-                vertices=frozenset(comp),
-                adj=component_adjacency(filtered, comp, survivors, backend),
-                index=component_index(source, predicate, comp, backend),
-                k=k,
-                config=config,
-                stats=stats,
-                budget=budget,
-                rng=random.Random(config.seed),
-                csr=filtered if backend == "csr" else None,
-            )
-        )
-    contexts = order_components(contexts)
-    stats.components = len(contexts)
-    return contexts
-
-
-def run_enumeration(
-    graph: AttributedGraph,
-    k: int,
-    predicate: SimilarityPredicate,
-    config: SearchConfig,
-    engine: str = "engine",
-) -> Tuple[List[KRCore], SearchStats]:
-    """Enumerate all maximal (k,r)-cores of ``graph``.
-
-    ``engine`` selects the implementation: ``"engine"`` (the configurable
-    branch-and-bound), ``"naive"`` (Algorithms 1+2), or ``"clique"``
-    (the Clique+ baseline).
-    """
-    component_fn = resolve_engine(engine)
-    executor = make_executor(config)
-    stats = SearchStats()
-    budget = Budget(config.time_limit, config.node_limit)
-    start = time.monotonic()
-    cores: List[KRCore] = []
-    try:
-        contexts = prepare_components(graph, k, predicate, config, stats, budget)
-        if executor is None:
-            for ctx in contexts:
-                for vs in component_fn(ctx):
-                    cores.append(KRCore(vs, k, predicate.r))
-        else:
-            tasks = [
-                task_from_context(
-                    i, ctx, "enumerate", engine,
-                    time_left=remaining_time(budget),
-                )
-                for i, ctx in enumerate(contexts)
-            ]
-            for out in executor.run(tasks):
-                merge_outcome(out, stats, config.node_limit)
-                for vs in out.result:
-                    cores.append(KRCore(vs, k, predicate.r))
-    except SearchBudgetExceeded:
-        stats.timed_out = True
-        if config.on_budget == "raise":
-            stats.elapsed = time.monotonic() - start
-            raise SearchBudgetExceeded(
-                "enumeration budget exceeded", partial=(cores, stats)
-            ) from None
-    stats.elapsed = time.monotonic() - start
-    return cores, stats
 
 
 def maximum_schedule(
@@ -521,78 +339,3 @@ def improves(found: Optional[FrozenSet[int]], seed: Optional[FrozenSet[int]]) ->
     maximum — sound bounds never prune a larger core).
     """
     return found is not None and (seed is None or len(found) > len(seed))
-
-
-def run_maximum(
-    graph: AttributedGraph,
-    k: int,
-    predicate: SimilarityPredicate,
-    config: SearchConfig,
-) -> Tuple[Optional[KRCore], SearchStats]:
-    """Find the maximum (k,r)-core of ``graph`` (``None`` when none exists).
-
-    Components run through the two-phase batch schedule: bound-sorted
-    (``|V|`` descending), solved in :data:`MAXIMUM_BATCH`-wide batches
-    where every batch member is seeded with the best core of the
-    *previous* batches, and any component no larger than the current
-    best is skipped wholesale between batches.  On the process executor
-    the members of a batch solve concurrently; results and merged stats
-    are identical to the serial path by construction.
-    """
-    executor = make_executor(config)
-    stats = SearchStats()
-    budget = Budget(config.time_limit, config.node_limit)
-    start = time.monotonic()
-    best: Optional[FrozenSet[int]] = None
-    try:
-        contexts = prepare_components(graph, k, predicate, config, stats, budget)
-        schedule = maximum_schedule(contexts)
-        for batch in iter_maximum_batches(schedule, lambda: best):
-            seed = best
-            founds: List[Optional[FrozenSet[int]]] = []
-            try:
-                if config.split_depth > 0:
-                    # Branch-level work sharing: each component's tree
-                    # is split into subtree tasks; components run
-                    # sequentially (their subtrees are the parallel
-                    # units), still seeded batch-wide like the classic
-                    # schedule.
-                    for ctx in batch:
-                        founds.append(
-                            solve_component_split(ctx, seed, executor)
-                        )
-                elif executor is None:
-                    for ctx in batch:
-                        founds.append(find_maximum_in_component(ctx, seed))
-                else:
-                    tasks = [
-                        task_from_context(
-                            i, ctx, "maximum", seed_best=seed,
-                            time_left=remaining_time(budget),
-                        )
-                        for i, ctx in enumerate(batch)
-                    ]
-                    for out in executor.run(tasks):
-                        merge_outcome(out, stats, config.node_limit)
-                        founds.append(out.result)
-            finally:
-                # Fold completed batch-mates into the best even when a
-                # later member tripped the budget mid-batch, so partial
-                # results keep everything that actually finished.
-                for found in founds:
-                    if improves(found, seed) and (
-                        best is None or len(found) > len(best)
-                    ):
-                        best = found
-    except SearchBudgetExceeded:
-        stats.timed_out = True
-        if config.on_budget == "raise":
-            stats.elapsed = time.monotonic() - start
-            partial = KRCore(best, k, predicate.r) if best else None
-            raise SearchBudgetExceeded(
-                "maximum search budget exceeded", partial=(partial, stats)
-            ) from None
-    stats.elapsed = time.monotonic() - start
-    if best is None:
-        return None, stats
-    return KRCore(best, k, predicate.r), stats

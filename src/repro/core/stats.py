@@ -7,7 +7,7 @@ these deterministic counters (search-tree nodes, prunes by rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict
 
 
@@ -45,46 +45,22 @@ class SearchStats:
     timed_out: bool = False        # a budget cap was hit (results partial)
 
     def merge(self, other: "SearchStats") -> None:
-        """Accumulate another run's counters into this one."""
-        for name in (
-            "nodes", "check_nodes", "similarity_pruned", "structure_pruned",
-            "connectivity_pruned", "retained", "moved_similarity_free",
-            "early_term_i", "early_term_ii", "bound_pruned", "bound_calls",
-            "dead_branches", "cores_emitted", "maximal_checks", "components",
-            "cache_hits", "cache_misses", "reused_preprocess",
-            "reused_filters", "reused_indexes", "seeded_peels",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        # The shared incumbent bound is a high-water mark, not a count.
-        self.shared_bound = max(self.shared_bound, other.shared_bound)
-        self.elapsed += other.elapsed
-        self.timed_out = self.timed_out or other.timed_out
+        """Accumulate another run's counters into this one.
+
+        Every int field is a count and adds up, except ``shared_bound``:
+        the shared incumbent bound is a high-water mark.  ``elapsed``
+        adds up and ``timed_out`` is sticky.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "shared_bound":
+                value = max(mine, theirs)
+            elif f.name == "timed_out":
+                value = mine or theirs
+            else:
+                value = mine + theirs
+            setattr(self, f.name, value)
 
     def to_dict(self) -> Dict[str, float]:
-        """Plain-dict view for JSON reporting."""
-        return {
-            "nodes": self.nodes,
-            "check_nodes": self.check_nodes,
-            "similarity_pruned": self.similarity_pruned,
-            "structure_pruned": self.structure_pruned,
-            "connectivity_pruned": self.connectivity_pruned,
-            "retained": self.retained,
-            "moved_similarity_free": self.moved_similarity_free,
-            "early_term_i": self.early_term_i,
-            "early_term_ii": self.early_term_ii,
-            "bound_pruned": self.bound_pruned,
-            "bound_calls": self.bound_calls,
-            "dead_branches": self.dead_branches,
-            "cores_emitted": self.cores_emitted,
-            "maximal_checks": self.maximal_checks,
-            "components": self.components,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "reused_preprocess": self.reused_preprocess,
-            "reused_filters": self.reused_filters,
-            "reused_indexes": self.reused_indexes,
-            "seeded_peels": self.seeded_peels,
-            "shared_bound": self.shared_bound,
-            "elapsed": self.elapsed,
-            "timed_out": self.timed_out,
-        }
+        """Plain-dict view for JSON reporting (one key per field)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}

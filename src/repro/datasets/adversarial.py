@@ -630,15 +630,20 @@ def hardness_score(
     made the engine work.
     """
     from repro.core.config import adv_enum_config, adv_max_config
-    from repro.core.solver import run_enumeration, run_maximum
+    from repro.core.session import KRCoreSession
 
+    session = KRCoreSession(instance.graph, copy=False)
     if mode == "maximum":
         cfg = config if config is not None else adv_max_config()
-        _, stats = run_maximum(instance.graph, instance.k, instance.predicate(), cfg)
+        _, stats = session.maximum(
+            instance.k, predicate=instance.predicate(), config=cfg,
+            with_stats=True,
+        )
     elif mode == "enumerate":
         cfg = config if config is not None else adv_enum_config()
-        _, stats = run_enumeration(
-            instance.graph, instance.k, instance.predicate(), cfg
+        _, stats = session.enumerate(
+            instance.k, predicate=instance.predicate(), config=cfg,
+            with_stats=True,
         )
     else:
         raise InvalidParameterError(

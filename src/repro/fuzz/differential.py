@@ -41,8 +41,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import adv_enum_config
 from repro.core.context import Budget
 from repro.core.naive import _is_krcore_vertexset, brute_force_maximal_krcores
-from repro.core.session import KRCoreSession
-from repro.core.solver import prepare_components, run_enumeration, run_maximum
+from repro.core.session import KRCoreSession, prepare_components
 from repro.core.stats import SearchStats
 from repro.fuzz.space import FuzzCase
 
@@ -110,12 +109,7 @@ def _run_backend(case: FuzzCase, backend: str, executor: str = "serial"):
     axis.
     """
     cfg = case.config(backend, executor=executor)
-    if case.mode == "maximum":
-        best, stats = run_maximum(case.graph, case.k, case.predicate(), cfg)
-        result = frozenset(best.vertices) if best is not None else None
-        return result, stats
-    cores, stats = run_enumeration(case.graph, case.k, case.predicate(), cfg)
-    return sorted(sorted(c.vertices) for c in cores), stats
+    return _query_session(case, KRCoreSession(case.graph, config=cfg, copy=False))
 
 
 def _oracle_components(case: FuzzCase, limit: int):
@@ -391,7 +385,7 @@ def run_edit_stream_case(
         maintained.drop_results()
         try:
             res_pp, stats_pp = _query_session(
-                case, maintained, executor=pool
+                case, maintained, plan=case.config("csr", executor=pool).plan
             )
         except Exception:
             out.disagreement = Disagreement(

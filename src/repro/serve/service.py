@@ -8,9 +8,7 @@ and used behind a per-graph lock, so concurrent requests against the
 same graph serialise on the session while different graphs proceed in
 parallel.  Search execution is selected by an
 :class:`~repro.core.config.ExecutionPlan` — a service-level ``plan``
-default and/or per-request ``plan`` / ``executor`` / ``workers`` /
-``shm`` / ``split_depth`` knobs (the scalar spellings are the same
-deprecated aliases the Python API keeps).
+default, overridden by a per-request ``plan`` knob.
 
 Concurrent *identical* read requests are coalesced: the first request
 computes, the rest wait on the same in-flight entry and share the
@@ -50,16 +48,6 @@ from repro.store import GraphStore, codec
 _READ_OPS = ("enumerate", "maximum", "top", "statistics", "sweep")
 
 
-def _coerce_bool(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int) and value in (0, 1):
-        return bool(value)
-    if isinstance(value, str) and value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise ValueError(value)
-
-
 def _coerce_plan(value: Any) -> dict:
     if not isinstance(value, dict):
         raise ValueError("plan must be a JSON object of ExecutionPlan fields")
@@ -67,25 +55,16 @@ def _coerce_plan(value: Any) -> dict:
 
 
 #: Per-request knobs accepted by every query endpoint, with coercers.
-#: The execution knobs mirror :class:`~repro.core.config.ExecutionPlan`
-#: field-for-field (``plan`` carries the whole object at once; the
-#: scalar spellings are the same deprecated aliases the Python API
-#: keeps).
+#: ``plan`` carries a whole :class:`~repro.core.config.ExecutionPlan`
+#: as its field dict.
 _QUERY_KNOBS = {
     "metric": str,
     "algorithm": str,
     "backend": str,
     "plan": _coerce_plan,
-    "executor": str,
-    "workers": int,
-    "shm": _coerce_bool,
-    "split_depth": int,
     "time_limit": float,
     "node_limit": int,
 }
-
-#: The scalar execution knobs a request-level ``plan`` supersedes.
-_PLAN_KNOBS = ("executor", "workers", "shm", "split_depth")
 
 
 class _GraphEntry:
@@ -122,10 +101,7 @@ class KRCoreService:
         used, which closes it after flushing).
     plan:
         Default :class:`~repro.core.config.ExecutionPlan` (or its field
-        dict) for every query; requests may override any knob.
-    executor / workers / shm / split_depth:
-        Deprecated loose spellings of the plan fields (may not be
-        combined with ``plan=``).
+        dict) for every query; a request's own ``plan`` replaces it.
     config / backend / metric:
         Session defaults, as in :class:`KRCoreSession`.
     """
@@ -135,29 +111,13 @@ class KRCoreService:
         store: GraphStore,
         *,
         plan: Optional[Any] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         metric: str = "jaccard",
         maintenance: bool = True,
     ):
         self._store = store
-        resolved = resolve_execution_plan(
-            plan=plan, executor=executor, workers=workers,
-            shm=shm, split_depth=split_depth,
-        )
-        if plan is not None and resolved is not None:
-            # A whole-plan default expands into the scalar defaults the
-            # per-request knob resolution folds over.
-            executor, workers = resolved.executor, resolved.workers
-            shm, split_depth = resolved.shm, resolved.split_depth
-        self._defaults = {
-            "executor": executor, "workers": workers,
-            "shm": shm, "split_depth": split_depth,
-        }
+        self._plan = resolve_execution_plan(plan)
         self._config = config
         self._backend = backend
         self._metric = metric
@@ -398,14 +358,8 @@ class KRCoreService:
         self, params: Dict[str, Any], extra: Tuple[str, ...] = ()
     ) -> Dict[str, Any]:
         kwargs: Dict[str, Any] = {}
-        plan_given = params.get("plan") is not None
         for knob, coerce in _QUERY_KNOBS.items():
             value = params.get(knob)
-            if value is None and not (plan_given and knob in _PLAN_KNOBS):
-                # Service-level defaults back the request; a request
-                # that ships a whole plan supersedes the scalar
-                # execution defaults instead of conflicting with them.
-                value = self._defaults.get(knob)
             if value is not None:
                 try:
                     kwargs[knob] = coerce(value)
@@ -413,6 +367,8 @@ class KRCoreService:
                     raise ServiceError(
                         f"parameter {knob!r} has invalid value {value!r}"
                     ) from None
+        if "plan" not in kwargs and self._plan is not None:
+            kwargs["plan"] = self._plan
         unknown = (
             set(params)
             - set(_QUERY_KNOBS)

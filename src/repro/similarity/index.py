@@ -163,7 +163,7 @@ def build_index(
     (the paper's solvers equally touch all intra-component pairs through
     DP/SP bookkeeping).
 
-    ``backend="csr"`` (what :func:`repro.core.solver.prepare_components`
+    ``backend="csr"`` (what :func:`repro.core.solver.component_index`
     passes on the array backend) batches weighted-Jaccard and plain
     Jaccard components of every size through the vectorised path instead
     of only the large ones; both backends yield the same index.

@@ -18,10 +18,11 @@ from typing import FrozenSet, List, Optional
 
 import pytest
 
+from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.core.config import SearchConfig, adv_enum_config
 from repro.core.context import Budget, ComponentContext
 from repro.core.naive import brute_force_maximal_krcores
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
@@ -93,6 +94,40 @@ def single_component_context(
     budget = Budget(None, None)
     return prepare_components(
         graph, k, predicate, config or adv_enum_config(), stats, budget
+    )
+
+
+def solve_enum(
+    graph: AttributedGraph,
+    k: int,
+    predicate: SimilarityPredicate,
+    config: SearchConfig,
+    engine: str = "engine",
+):
+    """``(cores, stats)`` of a one-shot enumeration under ``config``.
+
+    ``engine`` ``"naive"`` / ``"clique"`` runs that baseline instead of
+    the configurable engine, on the config's backend and execution plan.
+    """
+    if engine == "engine":
+        return enumerate_maximal_krcores(
+            graph, k, predicate=predicate, config=config, with_stats=True
+        )
+    return enumerate_maximal_krcores(
+        graph, k, predicate=predicate, algorithm=engine,
+        backend=config.backend, plan=config.plan, with_stats=True,
+    )
+
+
+def solve_max(
+    graph: AttributedGraph,
+    k: int,
+    predicate: SimilarityPredicate,
+    config: SearchConfig,
+):
+    """``(best core or None, stats)`` of a one-shot maximum under ``config``."""
+    return find_maximum_krcore(
+        graph, k, predicate=predicate, config=config, with_stats=True
     )
 
 

@@ -59,6 +59,21 @@ class TestRunners:
         assert rec.timed_out
         assert rec.display_seconds == INF
 
+    @pytest.mark.parametrize("algorithm", ("naive", "clique"))
+    def test_baseline_timeout_reports_inf(self, algorithm):
+        g = make_random_attr_graph(11, n=14, p=0.85)
+        pred = SimilarityPredicate("jaccard", 0.2)
+        rec = run_enum_timed(g, 2, pred, algorithm, time_cap=1e-9)
+        assert rec.timed_out
+        assert rec.display_seconds == INF
+
+    def test_max_timeout_reports_inf(self):
+        g = make_random_attr_graph(11, n=14, p=0.85)
+        pred = SimilarityPredicate("jaccard", 0.2)
+        rec = run_max_timed(g, 2, pred, "basic", time_cap=1e-9)
+        assert rec.timed_out
+        assert rec.display_seconds == INF
+
     def test_to_dict_inf_becomes_null_seconds(self):
         rec = RunRecord(label="x", seconds=5.0, timed_out=True)
         assert rec.to_dict()["seconds"] is None

@@ -1,4 +1,9 @@
-"""Incremental maintenance: equivalence with from-scratch, cache reuse."""
+"""Incremental maintenance: equivalence with from-scratch, cache reuse.
+
+An evolving graph is a :class:`KRCoreSession` fed through
+:meth:`~repro.core.session.KRCoreSession.edit`; each re-query re-solves
+only the components an edit touched.
+"""
 
 import random
 
@@ -6,160 +11,162 @@ import pytest
 
 from conftest import as_sorted_sets, make_random_attr_graph
 from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
-from repro.core.dynamic import DynamicKRCoreMiner
+from repro.core.config import adv_enum_config
+from repro.core.session import KRCoreSession
 from repro.datasets.planted import planted_communities
 from repro.exceptions import InvalidParameterError
+from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
 
 
-def assert_matches_scratch(miner, pred):
-    got = as_sorted_sets(miner.cores())
+def cores_of(session, pred, k=2):
+    return as_sorted_sets(session.enumerate(k, predicate=pred))
+
+
+def assert_matches_scratch(session, pred):
     want = as_sorted_sets(
-        enumerate_maximal_krcores(miner.graph, 2, predicate=pred)
+        enumerate_maximal_krcores(session.graph, 2, predicate=pred)
     )
-    assert got == want
+    assert cores_of(session, pred) == want
 
 
 class TestBasics:
     def test_initial_mine(self, two_triangles, jaccard_half):
-        miner = DynamicKRCoreMiner(two_triangles, 2, jaccard_half)
-        assert as_sorted_sets(miner.cores()) == [[0, 1, 2], [3, 4, 5]]
+        session = KRCoreSession(two_triangles)
+        assert cores_of(session, jaccard_half) == [[0, 1, 2], [3, 4, 5]]
 
     def test_invalid_k(self, two_triangles, jaccard_half):
         with pytest.raises(InvalidParameterError):
-            DynamicKRCoreMiner(two_triangles, 0, jaccard_half)
+            KRCoreSession(two_triangles).enumerate(0, predicate=jaccard_half)
 
     def test_private_copy(self, two_triangles, jaccard_half):
-        miner = DynamicKRCoreMiner(two_triangles, 2, jaccard_half)
+        session = KRCoreSession(two_triangles)
         two_triangles.remove_edge(0, 1)  # mutate the original
-        assert as_sorted_sets(miner.cores()) == [[0, 1, 2], [3, 4, 5]]
+        assert cores_of(session, jaccard_half) == [[0, 1, 2], [3, 4, 5]]
 
     def test_maximum(self, two_triangles, jaccard_half):
-        miner = DynamicKRCoreMiner(two_triangles, 2, jaccard_half)
-        assert miner.maximum().size == 3
+        session = KRCoreSession(two_triangles)
+        assert session.maximum(2, predicate=jaccard_half).size == 3
 
 
 class TestEdits:
     def test_edge_removal_breaks_core(self, two_triangles, jaccard_half):
-        miner = DynamicKRCoreMiner(two_triangles, 2, jaccard_half)
-        miner.cores()
-        assert miner.remove_edge(0, 1)
-        assert as_sorted_sets(miner.cores()) == [[3, 4, 5]]
+        session = KRCoreSession(two_triangles)
+        session.enumerate(2, predicate=jaccard_half)
+        assert session.edit(remove_edges=[(0, 1)])
+        assert cores_of(session, jaccard_half) == [[3, 4, 5]]
 
     def test_edge_insert_grows_core(self, jaccard_half):
-        from repro.graph.attributed_graph import AttributedGraph
         g = AttributedGraph(4, edges=[(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
         for u in g.vertices():
             g.set_attribute(u, frozenset({"x", "y"}))
-        miner = DynamicKRCoreMiner(g, 2, jaccard_half)
-        assert miner.maximum().size == 4
-        miner.remove_edge(1, 3)
-        assert miner.maximum().size == 3
-        miner.add_edge(1, 3)
-        assert miner.maximum().size == 4
+        session = KRCoreSession(g)
+        assert session.maximum(2, predicate=jaccard_half).size == 4
+        session.edit(remove_edges=[(1, 3)])
+        assert session.maximum(2, predicate=jaccard_half).size == 3
+        session.edit(add_edges=[(1, 3)])
+        assert session.maximum(2, predicate=jaccard_half).size == 4
 
     def test_attribute_change_splits_core(self, jaccard_half):
-        from repro.graph.attributed_graph import AttributedGraph
         g = AttributedGraph(4, edges=[(0, 1), (1, 2), (0, 2), (2, 3),
                                       (1, 3), (0, 3)])
         for u in g.vertices():
             g.set_attribute(u, frozenset({"x", "y"}))
-        miner = DynamicKRCoreMiner(g, 2, jaccard_half)
-        assert miner.maximum().size == 4
-        miner.set_attribute(3, frozenset({"p", "q"}))
-        assert miner.maximum().size == 3
+        session = KRCoreSession(g)
+        assert session.maximum(2, predicate=jaccard_half).size == 4
+        session.edit(attributes={3: frozenset({"p", "q"})})
+        assert session.maximum(2, predicate=jaccard_half).size == 3
 
     def test_attributeless_vertex_survives_refresh(self, jaccard_half):
         # Vertex 3 never gets an attribute; it stays in the structural
-        # k-core but outside every filtered component.  Re-refreshes
+        # k-core but outside every filtered component.  Re-queries
         # (which use the session's pairwise layer) must handle it.
-        from repro.graph.attributed_graph import AttributedGraph
         g = AttributedGraph(4)
         for i in range(4):
             for j in range(i + 1, 4):
                 g.add_edge(i, j)
         for u in (0, 1, 2):
             g.set_attribute(u, frozenset({"x", "y"}))
-        miner = DynamicKRCoreMiner(g, 2, jaccard_half)
-        assert as_sorted_sets(miner.cores()) == [[0, 1, 2]]
-        miner.remove_edge(0, 3)
-        assert as_sorted_sets(miner.cores()) == [[0, 1, 2]]
-        miner.remove_edge(1, 3)
-        assert as_sorted_sets(miner.cores()) == [[0, 1, 2]]
+        session = KRCoreSession(g)
+        assert cores_of(session, jaccard_half) == [[0, 1, 2]]
+        session.edit(remove_edges=[(0, 3)])
+        assert cores_of(session, jaccard_half) == [[0, 1, 2]]
+        session.edit(remove_edges=[(1, 3)])
+        assert cores_of(session, jaccard_half) == [[0, 1, 2]]
 
     def test_noop_edits_keep_cache(self, two_triangles, jaccard_half):
-        miner = DynamicKRCoreMiner(two_triangles, 2, jaccard_half)
-        miner.cores()
-        assert not miner.add_edge(0, 1)       # already present
-        assert not miner.remove_edge(0, 4)    # never existed
-        miner.cores()
-        # Nothing was dirty, so no refresh ran at all; the counters still
-        # show the initial full solve.
-        assert miner.last_solved_components == 2
+        session = KRCoreSession(two_triangles)
+        session.enumerate(2, predicate=jaccard_half)
+        assert not session.edit(add_edges=[(0, 1)])     # already present
+        assert not session.edit(remove_edges=[(0, 4)])  # never existed
+        _, stats = session.enumerate(
+            2, predicate=jaccard_half, with_stats=True
+        )
+        # Nothing changed, so both components come from the cache.
+        assert stats.cache_misses == 0
+        assert stats.cache_hits == 2
 
 
 class TestCacheReuse:
     @pytest.mark.parametrize("backend", ("python", "csr"))
     def test_untouched_components_cached(self, backend):
-        from repro.core.config import adv_enum_config
-
         pc = planted_communities(n_blocks=4, block_size=10, k=3, seed=8)
-        miner = DynamicKRCoreMiner(
-            pc.graph, pc.k, pc.predicate,
-            config=adv_enum_config(backend=backend),
+        session = KRCoreSession(
+            pc.graph, config=adv_enum_config(backend=backend),
         )
-        miner.cores()
-        assert miner.last_solved_components >= 1
+        _, stats = session.enumerate(
+            pc.k, predicate=pc.predicate, with_stats=True
+        )
+        assert stats.cache_misses >= 1
         # Edit inside one block: the others must come from cache.
         block0 = sorted(pc.communities[0])
-        miner.remove_edge(block0[0], block0[1])
-        miner.cores()
-        assert miner.last_cached_components >= 1
-        assert miner.last_solved_components <= 2
+        session.edit(remove_edges=[(block0[0], block0[1])])
+        _, stats = session.enumerate(
+            pc.k, predicate=pc.predicate, with_stats=True
+        )
+        assert stats.cache_hits >= 1
+        assert stats.cache_misses <= 2
 
     def test_invalidate_forces_resolve(self, two_triangles, jaccard_half):
-        miner = DynamicKRCoreMiner(two_triangles, 2, jaccard_half)
-        miner.cores()
-        miner.invalidate()
-        miner.cores()
-        assert miner.last_solved_components == 2
-        assert miner.last_cached_components == 0
+        session = KRCoreSession(two_triangles)
+        session.enumerate(2, predicate=jaccard_half)
+        session.invalidate()
+        _, stats = session.enumerate(
+            2, predicate=jaccard_half, with_stats=True
+        )
+        assert stats.cache_misses == 2
+        assert stats.cache_hits == 0
 
 
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("backend", ("python", "csr"))
     @pytest.mark.parametrize("seed", range(8))
     def test_edit_sequences_match_scratch(self, seed, backend):
-        from repro.core.config import adv_enum_config
-
         rng = random.Random(seed)
         g = make_random_attr_graph(seed, n=12, p=0.4)
         pred = SimilarityPredicate("jaccard", 0.35)
-        miner = DynamicKRCoreMiner(
-            g, 2, pred, config=adv_enum_config(backend=backend),
-        )
-        assert_matches_scratch(miner, pred)
+        session = KRCoreSession(g, config=adv_enum_config(backend=backend))
+        assert_matches_scratch(session, pred)
         vocab = ["a", "b", "c", "d", "e", "f"]
         for _ in range(12):
             action = rng.random()
             u = rng.randrange(12)
             v = rng.randrange(12)
             if action < 0.4 and u != v:
-                miner.add_edge(u, v)
+                session.edit(add_edges=[(u, v)])
             elif action < 0.7 and u != v:
-                miner.remove_edge(u, v)
+                session.edit(remove_edges=[(u, v)])
             else:
-                miner.set_attribute(
-                    u, frozenset(rng.sample(vocab, rng.randint(2, 4))),
-                )
-            assert_matches_scratch(miner, pred)
+                session.edit(attributes={
+                    u: frozenset(rng.sample(vocab, rng.randint(2, 4))),
+                })
+            assert_matches_scratch(session, pred)
 
     def test_maximum_matches_scratch_after_edits(self):
         g = make_random_attr_graph(55, n=12, p=0.5)
         pred = SimilarityPredicate("jaccard", 0.35)
-        miner = DynamicKRCoreMiner(g, 2, pred)
-        miner.add_edge(0, 5)
-        miner.add_edge(1, 5)
-        best = miner.maximum()
-        scratch = find_maximum_krcore(miner.graph, 2, predicate=pred)
+        session = KRCoreSession(g)
+        session.edit(add_edges=[(0, 5), (1, 5)])
+        best = session.maximum(2, predicate=pred)
+        scratch = find_maximum_krcore(session.graph, 2, predicate=pred)
         assert (best.size if best else 0) == (scratch.size if scratch else 0)

@@ -18,7 +18,7 @@ import pickle
 
 import pytest
 
-from conftest import as_sorted_sets
+from conftest import as_sorted_sets, solve_enum, solve_max
 from repro.core.config import SearchConfig, adv_enum_config, adv_max_config
 from repro.core.context import Budget
 from repro.core.executor import (
@@ -32,15 +32,12 @@ from repro.core.executor import (
     solve_component_task,
     task_from_context,
 )
+from repro.core.session import KRCoreSession, prepare_components
 from repro.core.solver import (
     iter_maximum_batches,
+    max_component_degree,
     maximum_schedule,
-    order_components,
-    prepare_components,
-    run_enumeration,
-    run_maximum,
 )
-from repro.core.session import KRCoreSession
 from repro.core.stats import SearchStats
 from repro.datasets.adversarial import build_instance
 from repro.exceptions import (
@@ -51,6 +48,9 @@ from repro.exceptions import (
 from repro.fuzz.differential import PARITY_COUNTERS
 from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
+
+#: Execution plan of the two-worker process pool the parity tests use.
+POOL = {"executor": "process", "workers": 2}
 
 #: Tiny adversarial instances for the branch-and-bound engine and the
 #: Clique+ baseline: one per engineered family, small enough that the
@@ -149,6 +149,18 @@ class TestHardnessOrdering:
         assert component_hardness(40, 3) > component_hardness(10, 9)
         assert component_hardness(10, 9) > component_hardness(5, 4)
 
+    @staticmethod
+    def hardness_order(graph, k, pred, backend="csr"):
+        """Component vertex lists in the pool's hardest-first order."""
+        ctxs = prepare_components(
+            graph, k, pred, adv_enum_config(backend=backend),
+            SearchStats(), Budget(None, None),
+        )
+        ctxs.sort(key=lambda c: component_sort_key(
+            len(c.vertices), max_component_degree(c.adj), min(c.vertices),
+        ))
+        return [sorted(c.vertices) for c in ctxs]
+
     def test_order_pinned_on_mixed_size_fixture(self):
         # Three components: a 6-clique (36), a 12-ring (36 -- tie broken
         # by size), and a 20-vertex path (60, hardest).  The regression
@@ -165,31 +177,15 @@ class TestHardnessOrdering:
         for u in g.vertices():
             g.set_attribute(u, frozenset({"s"}))
         pred = SimilarityPredicate("jaccard", 0.1)
-        ctxs = prepare_components(
-            g, 1, pred, adv_enum_config(), SearchStats(), Budget(None, None)
-        )
-        sizes = [len(ctx.vertices) for ctx in ctxs]
-        assert sizes == [20, 12, 6]
+        order = self.hardness_order(g, 1, pred)
+        assert [len(vs) for vs in order] == [20, 12, 6]
 
     @pytest.mark.parametrize("backend", ("python", "csr"))
     def test_order_is_backend_independent(self, backend):
         g, k, pred = multi_component_graph()
-        ctxs = prepare_components(
-            g, k, pred, adv_enum_config(backend=backend),
-            SearchStats(), Budget(None, None),
+        assert self.hardness_order(g, k, pred, backend) == (
+            self.hardness_order(g, k, pred, "python")
         )
-        keys = [
-            component_sort_key(
-                len(c.vertices),
-                max(len(n) for n in c.adj.values()),
-                min(c.vertices),
-            )
-            for c in ctxs
-        ]
-        assert keys == sorted(keys)
-
-    def test_order_components_empty_passthrough(self):
-        assert order_components([]) == []
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +240,10 @@ class TestParallelParity:
     def test_enumeration_matrix(self, family, backend, engine):
         inst = family_instance(family)
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(
+        serial, st_s = solve_enum(
             inst.graph, inst.k, inst.predicate(), cfg, engine=engine
         )
-        par, st_p = run_enumeration(
+        par, st_p = solve_enum(
             inst.graph, inst.k, inst.predicate(),
             cfg.evolve(executor="process", workers=2), engine=engine,
         )
@@ -260,8 +256,8 @@ class TestParallelParity:
     def test_maximum_matrix(self, family, backend, order):
         inst = family_instance(family, maximum=True)
         cfg = adv_max_config(backend=backend, order=order, seed=5)
-        serial, st_s = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_maximum(
+        serial, st_s = solve_max(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = solve_max(
             inst.graph, inst.k, inst.predicate(),
             cfg.evolve(executor="process", workers=2),
         )
@@ -274,8 +270,8 @@ class TestParallelParity:
     def test_multi_component_parity(self, backend):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(g, k, pred, cfg)
-        par, st_p = run_enumeration(
+        serial, st_s = solve_enum(g, k, pred, cfg)
+        par, st_p = solve_enum(
             g, k, pred, cfg.evolve(executor="process", workers=3)
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
@@ -285,8 +281,8 @@ class TestParallelParity:
     def test_single_component_graph(self):
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config()
-        serial, st_s = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_maximum(
+        serial, st_s = solve_max(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = solve_max(
             inst.graph, inst.k, inst.predicate(),
             cfg.evolve(executor="process", workers=2),
         )
@@ -305,8 +301,8 @@ class TestParallelParity:
         g = make_random_attr_graph(seed, n=9, p=0.6, attrs=3)
         pred = SimilarityPredicate("jaccard", 0.25)
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(g, 2, pred, cfg, engine="naive")
-        par, st_p = run_enumeration(
+        serial, st_s = solve_enum(g, 2, pred, cfg, engine="naive")
+        par, st_p = solve_enum(
             g, 2, pred, cfg.evolve(executor="process", workers=2),
             engine="naive",
         )
@@ -318,15 +314,15 @@ class TestParallelParity:
         pred = SimilarityPredicate("jaccard", 0.5)
         cfg = adv_enum_config(executor="process", workers=2)
         empty = AttributedGraph(0)
-        assert run_enumeration(empty, 2, pred, cfg)[0] == []
-        assert run_maximum(empty, 2, pred, adv_max_config(
+        assert solve_enum(empty, 2, pred, cfg)[0] == []
+        assert solve_max(empty, 2, pred, adv_max_config(
             executor="process", workers=2))[0] is None
         # Non-empty graph, but k too large for any core to survive.
         g = AttributedGraph(4)
         g.add_edge(0, 1)
         g.set_attribute(0, frozenset({"a"}))
         g.set_attribute(1, frozenset({"a"}))
-        cores, stats = run_enumeration(g, 3, pred, cfg)
+        cores, stats = solve_enum(g, 3, pred, cfg)
         assert cores == [] and stats.components == 0
 
     def test_interleaved_empty_result_parity(self):
@@ -335,8 +331,8 @@ class TestParallelParity:
         # engines do real work, and the result set is empty either way.
         inst = build_instance("interleaved", n=24, vocab=10, window=4, half=2)
         cfg = adv_enum_config()
-        serial, st_s = run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_enumeration(
+        serial, st_s = solve_enum(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = solve_enum(
             inst.graph, inst.k, inst.predicate(),
             cfg.evolve(executor="process", workers=2),
         )
@@ -346,8 +342,8 @@ class TestParallelParity:
     def test_workers_one_degenerates_to_serial(self):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config()
-        serial, st_s = run_enumeration(g, k, pred, cfg)
-        degen, st_d = run_enumeration(
+        serial, st_s = solve_enum(g, k, pred, cfg)
+        degen, st_d = solve_enum(
             g, k, pred, cfg.evolve(executor="process", workers=1)
         )
         assert as_sorted_sets(serial) == as_sorted_sets(degen)
@@ -403,16 +399,16 @@ class TestMaximumSchedule:
             g.set_attribute(u, frozenset({"s"}))
         pred = SimilarityPredicate("jaccard", 0.1)
 
-        import repro.core.solver as solver_mod
+        import repro.core.session as session_mod
         searched = []
-        real = solver_mod.find_maximum_in_component
+        real = session_mod.find_maximum_in_component
 
         def spy(ctx, best=None):
             searched.append(len(ctx.vertices))
             return real(ctx, best)
 
-        monkeypatch.setattr(solver_mod, "find_maximum_in_component", spy)
-        best, _ = run_maximum(g, 2, pred, adv_max_config())
+        monkeypatch.setattr(session_mod, "find_maximum_in_component", spy)
+        best, _ = solve_max(g, 2, pred, adv_max_config())
         assert len(best.vertices) == 8
         # Batch one is MAXIMUM_BATCH wide: the 8-clique plus three
         # triangles (all seeded with None).  The between-batch early
@@ -432,7 +428,7 @@ class TestFailurePaths:
         inst = family_instance("borderline")
         cfg = adv_enum_config(executor="process", workers=workers)
         with pytest.raises(ComponentExecutionError) as err:
-            run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
+            solve_enum(inst.graph, inst.k, inst.predicate(), cfg)
         assert err.value.component_id is not None
         assert err.value.error_type == "RuntimeError"
         assert "injected worker fault" in str(err.value)
@@ -441,14 +437,14 @@ class TestFailurePaths:
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config(executor="process", workers=2, node_limit=3)
         with pytest.raises(SearchBudgetExceeded):
-            run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
+            solve_max(inst.graph, inst.k, inst.predicate(), cfg)
 
     def test_node_limit_partial_mode_under_process_executor(self):
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config(
             executor="process", workers=2, node_limit=3, on_budget="partial"
         )
-        _, stats = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
+        _, stats = solve_max(inst.graph, inst.k, inst.predicate(), cfg)
         assert stats.timed_out
 
     @pytest.mark.parametrize("executor_kw", (
@@ -474,13 +470,13 @@ class TestFailurePaths:
                     g.set_attribute(off + u, inst.graph.attribute(u))
             off += inst.graph.vertex_count
         k, pred = insts[0].k, insts[0].predicate()
-        full, full_stats = run_maximum(g, k, pred, adv_max_config())
+        full, full_stats = solve_max(g, k, pred, adv_max_config())
         assert full is not None and full_stats.components == 2
         cfg = adv_max_config(
             node_limit=full_stats.nodes - 1, on_budget="partial",
             **executor_kw,
         )
-        partial, stats = run_maximum(g, k, pred, cfg)
+        partial, stats = solve_max(g, k, pred, cfg)
         assert stats.timed_out
         assert partial is not None
         assert len(partial.vertices) == len(full.vertices)
@@ -492,8 +488,7 @@ class TestFailurePaths:
         g, k, pred = multi_component_graph()
         cfg = SearchConfig(node_limit=20, on_budget="partial")
         rows = KRCoreSession(g).sweep(
-            [k], [pred.r], predicate=pred, config=cfg,
-            executor="process", workers=2,
+            [k], [pred.r], predicate=pred, config=cfg, plan=POOL,
         )
         assert len(rows) == 1 and rows[0]["k"] == k
 
@@ -501,13 +496,13 @@ class TestFailurePaths:
         # Each component individually stays under the cap, but the sum
         # does not: the coordinator must still enforce the shared cap.
         g, k, pred = multi_component_graph()
-        _, st = run_enumeration(g, k, pred, adv_enum_config())
+        _, st = solve_enum(g, k, pred, adv_enum_config())
         per_comp_max = st.nodes  # total across all components
         assert st.components >= 3
         cap = per_comp_max - 1
         cfg = adv_enum_config(executor="process", workers=2, node_limit=cap)
         with pytest.raises(SearchBudgetExceeded):
-            run_enumeration(g, k, pred, cfg)
+            solve_enum(g, k, pred, cfg)
 
     def test_early_termination_fires_under_process_executor(self):
         from conftest import make_random_attr_graph
@@ -515,8 +510,8 @@ class TestFailurePaths:
         g = make_random_attr_graph(19, n=10, p=0.7, attrs=3)
         pred = SimilarityPredicate("jaccard", 0.25)
         cfg = adv_enum_config()
-        _, st_s = run_enumeration(g, 2, pred, cfg)
-        _, st_p = run_enumeration(
+        _, st_s = solve_enum(g, 2, pred, cfg)
+        _, st_p = solve_enum(
             g, 2, pred, cfg.evolve(executor="process", workers=2)
         )
         assert st_s.early_term_i + st_s.early_term_ii > 0
@@ -528,8 +523,8 @@ class TestFailurePaths:
     def test_theorem5_under_two_phase_maximum_schedule(self):
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config(executor="process", workers=2)
-        _, st_p = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        _, st_s = run_maximum(
+        _, st_p = solve_max(inst.graph, inst.k, inst.predicate(), cfg)
+        _, st_s = solve_max(
             inst.graph, inst.k, inst.predicate(), adv_max_config()
         )
         assert st_p.bound_pruned == st_s.bound_pruned
@@ -548,7 +543,7 @@ class TestFailurePaths:
 
         monkeypatch.setattr(executor_mod.ParallelExecutor, "run", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            session.enumerate(k, predicate=pred, executor="process", workers=2)
+            session.enumerate(k, predicate=pred, plan=POOL)
         monkeypatch.undo()
         # No invalidate(): the interrupted run must not have poisoned
         # the result cache; the serial re-query is correct.
@@ -567,13 +562,13 @@ class TestSessionExecutor:
         s_par = KRCoreSession(g)
         a = s_serial.enumerate(k, predicate=pred)
         b, st_b = s_par.enumerate(
-            k, predicate=pred, executor="process", workers=2, with_stats=True
+            k, predicate=pred, plan=POOL, with_stats=True
         )
         assert as_sorted_sets(a) == as_sorted_sets(b)
         assert st_b.cache_misses == st_b.components
         # Repeat query: everything from cache, regardless of executor.
         c, st_c = s_par.enumerate(
-            k, predicate=pred, executor="process", workers=2, with_stats=True
+            k, predicate=pred, plan=POOL, with_stats=True
         )
         assert as_sorted_sets(c) == as_sorted_sets(a)
         assert st_c.cache_misses == 0
@@ -587,7 +582,7 @@ class TestSessionExecutor:
         g, k, pred = multi_component_graph()
         a = KRCoreSession(g).maximum(k, predicate=pred)
         b = KRCoreSession(g).maximum(
-            k, predicate=pred, executor="process", workers=2
+            k, predicate=pred, plan=POOL
         )
         assert (a is None) == (b is None)
         if a is not None:
@@ -600,7 +595,7 @@ class TestSessionExecutor:
         rows_serial = KRCoreSession(g).sweep(ks, rs, predicate=pred)
         s_par = KRCoreSession(g)
         rows_par, stats = s_par.sweep(
-            ks, rs, predicate=pred, executor="process", workers=2,
+            ks, rs, predicate=pred, plan=POOL,
             with_stats=True,
         )
         assert rows_par == rows_serial
@@ -610,12 +605,18 @@ class TestSessionExecutor:
         assert stats.cache_hits >= stats.cache_misses
 
     def test_dynamic_miner_with_workers(self):
+        # An evolving graph (session edits) re-solves its dirty
+        # components over the pool with the same results as serial.
         g, k, pred = multi_component_graph()
-        from repro.core.dynamic import DynamicKRCoreMiner
+        serial = KRCoreSession(g)
+        par = KRCoreSession(g, config=adv_enum_config(plan=POOL))
 
-        serial = DynamicKRCoreMiner(g, k, pred)
-        par = DynamicKRCoreMiner(g, k, pred, executor="process", workers=2)
-        assert as_sorted_sets(serial.cores()) == as_sorted_sets(par.cores())
+        def same_cores():
+            assert as_sorted_sets(serial.enumerate(k, predicate=pred)) == (
+                as_sorted_sets(par.enumerate(k, predicate=pred))
+            )
+
+        same_cores()
         edge = None
         verts = sorted(g.vertices())
         for u in verts:
@@ -625,6 +626,6 @@ class TestSessionExecutor:
                     break
             if edge:
                 break
-        serial.add_edge(*edge)
-        par.add_edge(*edge)
-        assert as_sorted_sets(serial.cores()) == as_sorted_sets(par.cores())
+        serial.edit(add_edges=[edge])
+        par.edit(add_edges=[edge])
+        same_cores()

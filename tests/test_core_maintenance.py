@@ -334,7 +334,7 @@ class TestSessionMaintenance:
         serial = session.enumerate(2, predicate=pred)
         session.drop_results()
         pooled = session.enumerate(
-            2, predicate=pred, executor="process", workers=2
+            2, predicate=pred, plan={"executor": "process", "workers": 2}
         )
         assert as_sorted_sets(pooled) == as_sorted_sets(serial)
         assert session.maintenance_stats.errors == 0

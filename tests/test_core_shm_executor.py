@@ -1,20 +1,19 @@
 """Shared-memory executor, branch-level work sharing, ExecutionPlan.
 
-The PR-8 surface: ``executor="shm"`` must be invisible (results and
-merged PARITY_COUNTERS byte-identical to serial across the backend x
-engine x order matrix), branch splitting must be a pure function of
+``executor="shm"`` must be invisible (results and merged
+PARITY_COUNTERS byte-identical to serial across the backend x engine x
+order matrix), branch splitting must be a pure function of
 ``split_depth`` (identical inline / process / shm), segments must never
 outlive their run (worker death, KeyboardInterrupt, shutdown sweep),
-and the deprecated ``executor=``/``workers=`` spellings must resolve to
-the same :class:`ExecutionPlan` as the unified ``plan=`` knob across
-the API, the session, the CLI and the service.
+and the one ``plan=`` knob must select execution across the API, the
+session, the CLI and the service.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import as_sorted_sets
+from conftest import as_sorted_sets, solve_enum, solve_max
 from repro.core.config import (
     MAX_SPLIT_DEPTH,
     ExecutionPlan,
@@ -32,7 +31,7 @@ from repro.core.executor import (
     shutdown_pools,
     task_from_context,
 )
-from repro.core.session import KRCoreSession
+from repro.core.session import KRCoreSession, prepare_components
 from repro.core.shm import (
     SharedBound,
     active_segments,
@@ -43,7 +42,6 @@ from repro.core.shm import (
     sweep_segments,
     unpack_component,
 )
-from repro.core.solver import prepare_components, run_enumeration, run_maximum
 from repro.core.stats import SearchStats
 from repro.exceptions import (
     ComponentExecutionError,
@@ -90,13 +88,6 @@ class TestExecutionPlan:
 
     def test_resolve_nothing_requested(self):
         assert resolve_execution_plan() is None
-        assert resolve_execution_plan(base=ExecutionPlan(workers=4)) is None
-
-    def test_resolve_plan_and_scalars_conflict(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_execution_plan(plan=ExecutionPlan(), workers=2)
-        with pytest.raises(InvalidParameterError):
-            resolve_execution_plan(plan={"executor": "shm"}, split_depth=1)
 
     def test_resolve_accepts_field_dict(self):
         plan = resolve_execution_plan(plan={"shm": True, "workers": 3})
@@ -107,19 +98,11 @@ class TestExecutionPlan:
             resolve_execution_plan(plan="shm")
 
     def test_resolve_executor_alone_rederives_shm(self):
-        base = ExecutionPlan(executor="shm", workers=2)
-        out = resolve_execution_plan(base, executor="process")
-        assert out.executor == "process" and out.shm is False
-        assert out.workers == 2  # untouched base field survives
-
-    def test_resolve_shm_false_demotes_to_process(self):
-        base = ExecutionPlan(executor="shm", workers=2, split_depth=1)
-        out = resolve_execution_plan(base, shm=False)
-        assert out.executor == "process"
-        assert out.workers == 2 and out.split_depth == 1
+        assert resolve_execution_plan(plan={"executor": "shm"}).shm is True
+        assert resolve_execution_plan(plan={"executor": "process"}).shm is False
 
     def test_resolve_shm_true_promotes(self):
-        out = resolve_execution_plan(ExecutionPlan(), shm=True)
+        out = resolve_execution_plan(plan={"shm": True})
         assert out.executor == "shm"
 
     def test_config_plan_property_roundtrip(self):
@@ -161,10 +144,10 @@ class TestShmParity:
     def test_enumeration_matrix(self, family, backend, engine):
         inst = family_instance(family)
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(
+        serial, st_s = solve_enum(
             inst.graph, inst.k, inst.predicate(), cfg, engine=engine
         )
-        par, st_p = run_enumeration(
+        par, st_p = solve_enum(
             inst.graph, inst.k, inst.predicate(),
             cfg.evolve(executor="shm", workers=2), engine=engine,
         )
@@ -178,8 +161,8 @@ class TestShmParity:
     def test_maximum_matrix(self, family, backend, order):
         inst = family_instance(family, maximum=True)
         cfg = adv_max_config(backend=backend, order=order, seed=5)
-        serial, st_s = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_maximum(
+        serial, st_s = solve_max(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = solve_max(
             inst.graph, inst.k, inst.predicate(),
             cfg.evolve(executor="shm", workers=2),
         )
@@ -193,8 +176,8 @@ class TestShmParity:
     def test_multi_component_parity(self, backend):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(g, k, pred, cfg)
-        par, st_p = run_enumeration(
+        serial, st_s = solve_enum(g, k, pred, cfg)
+        par, st_p = solve_enum(
             g, k, pred, cfg.evolve(executor="shm", workers=3)
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
@@ -206,10 +189,10 @@ class TestShmParity:
         # the transport path is exercised on single-core machines too.
         inst = family_instance("borderline")
         cfg = adv_enum_config(executor="shm", workers=1)
-        serial, st_s = run_enumeration(
+        serial, st_s = solve_enum(
             inst.graph, inst.k, inst.predicate(), adv_enum_config()
         )
-        degen, st_d = run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
+        degen, st_d = solve_enum(inst.graph, inst.k, inst.predicate(), cfg)
         assert as_sorted_sets(serial) == as_sorted_sets(degen)
         assert_stats_parity(st_s, st_d, "shm workers=1")
         assert active_segments() == []
@@ -252,7 +235,7 @@ class TestBranchSplit:
             "shm": base.evolve(executor="shm", workers=2),
         }
         results = {
-            label: run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
+            label: solve_max(inst.graph, inst.k, inst.predicate(), cfg)
             for label, cfg in runs.items()
         }
         ref, st_ref = results["inline"]
@@ -273,10 +256,10 @@ class TestBranchSplit:
         # Splitting reshapes the node schedule (counts may differ) but
         # never the answer.
         inst = family_instance("onion", maximum=True)
-        flat, _ = run_maximum(
+        flat, _ = solve_max(
             inst.graph, inst.k, inst.predicate(), adv_max_config()
         )
-        split, _ = run_maximum(
+        split, _ = solve_max(
             inst.graph, inst.k, inst.predicate(),
             adv_max_config(split_depth=3),
         )
@@ -285,8 +268,8 @@ class TestBranchSplit:
     def test_split_depth_is_inert_for_enumeration(self):
         inst = family_instance("borderline")
         cfg = adv_enum_config()
-        serial, st_s = run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
-        deep, st_d = run_enumeration(
+        serial, st_s = solve_enum(inst.graph, inst.k, inst.predicate(), cfg)
+        deep, st_d = solve_enum(
             inst.graph, inst.k, inst.predicate(), cfg.evolve(split_depth=4)
         )
         assert as_sorted_sets(serial) == as_sorted_sets(deep)
@@ -363,12 +346,12 @@ class TestSegmentLifecycle:
         cfg = adv_enum_config(executor="shm", workers=2)
         monkeypatch.setenv(INJECT_ENV, "exit")
         with pytest.raises(ComponentExecutionError) as err:
-            run_enumeration(g, k, pred, cfg)
+            solve_enum(g, k, pred, cfg)
         assert err.value.error_type == "BrokenProcessPool"
         assert active_segments() == []
         monkeypatch.delenv(INJECT_ENV)
-        serial, _ = run_enumeration(g, k, pred, adv_enum_config())
-        par, _ = run_enumeration(g, k, pred, cfg)
+        serial, _ = solve_enum(g, k, pred, adv_enum_config())
+        par, _ = solve_enum(g, k, pred, cfg)
         assert as_sorted_sets(serial) == as_sorted_sets(par)
         assert active_segments() == []
 
@@ -428,43 +411,11 @@ class TestSegmentLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Deprecated aliases: one plan, many spellings
+# The former deprecated aliases: plan= (an ExecutionPlan or its field
+# dict) is the one spelling left
 # ----------------------------------------------------------------------
 
 class TestDeprecatedAliases:
-    def test_api_scalars_equal_plan(self):
-        from repro import find_maximum_krcore
-
-        inst = family_instance("onion", maximum=True)
-        kwargs = dict(predicate=inst.predicate(), with_stats=True)
-        via_plan, st_plan = find_maximum_krcore(
-            inst.graph, inst.k,
-            plan=ExecutionPlan(executor="shm", workers=2, split_depth=1),
-            **kwargs,
-        )
-        via_scalars, st_scalars = find_maximum_krcore(
-            inst.graph, inst.k,
-            executor="shm", workers=2, split_depth=1, **kwargs,
-        )
-        via_dict, st_dict = find_maximum_krcore(
-            inst.graph, inst.k,
-            plan={"shm": True, "workers": 2, "split_depth": 1}, **kwargs,
-        )
-        assert via_plan.vertices == via_scalars.vertices == via_dict.vertices
-        assert_stats_parity(st_plan, st_scalars, "plan vs scalars")
-        assert_stats_parity(st_plan, st_dict, "plan vs dict")
-        assert st_plan.shared_bound == st_scalars.shared_bound
-
-    def test_api_plan_plus_scalars_raises(self):
-        from repro import enumerate_maximal_krcores
-
-        inst = family_instance("borderline")
-        with pytest.raises(InvalidParameterError):
-            enumerate_maximal_krcores(
-                inst.graph, inst.k, predicate=inst.predicate(),
-                plan={"executor": "shm"}, workers=2,
-            )
-
     def test_session_plan_kwarg_and_cache_sharing(self):
         # The fingerprint strips the executor knobs: a serial query and
         # an shm query share cache entries in either direction.
@@ -479,6 +430,21 @@ class TestDeprecatedAliases:
         assert as_sorted_sets(a) == as_sorted_sets(b)
         assert st_b.cache_misses == 0
         assert st_b.cache_hits == st_b.components
+
+    @pytest.mark.parametrize(
+        "knob", ("executor", "workers", "shm", "split_depth")
+    )
+    def test_loose_execution_kwargs_are_rejected(self, knob):
+        # plan= is the only spelling; the loose scalars are plan fields.
+        from repro import enumerate_maximal_krcores
+
+        g, k, pred = multi_component_graph()
+        value = {"executor": "process", "workers": 2, "shm": True,
+                 "split_depth": 1}[knob]
+        with pytest.raises(TypeError):
+            enumerate_maximal_krcores(g, k, predicate=pred, **{knob: value})
+        with pytest.raises(TypeError):
+            KRCoreSession(g).maximum(k, predicate=pred, **{knob: value})
 
     def test_session_sweep_accepts_plan(self):
         g, k, pred = multi_component_graph()
@@ -511,25 +477,10 @@ class TestServeExecutionKnobs:
 
         return KRCoreService(GraphStore(db), **kwargs)
 
-    def test_plan_default_equals_scalar_default(self, stored):
-        db, inst = stored
-        params = {"k": inst.k, "r": inst.predicate().r}
-        via_plan = self._service(db, plan={"shm": True, "workers": 2})
-        via_scalars = self._service(db, executor="shm", workers=2)
-        plain = self._service(db)
-        try:
-            a = via_plan.handle("onion", "maximum", params)
-            b = via_scalars.handle("onion", "maximum", params)
-            c = plain.handle("onion", "maximum", params)
-            assert a["core"] == b["core"] == c["core"]
-        finally:
-            for svc in (via_plan, via_scalars, plain):
-                svc.close()
-
     def test_request_plan_overrides_service_defaults(self, stored):
         db, inst = stored
         r = inst.predicate().r
-        svc = self._service(db, executor="shm", workers=2)
+        svc = self._service(db, plan={"shm": True, "workers": 2})
         try:
             base = svc.handle("onion", "maximum", {"k": inst.k, "r": r})
             override = svc.handle("onion", "maximum", {
@@ -540,23 +491,6 @@ class TestServeExecutionKnobs:
         finally:
             svc.close()
 
-    def test_scalar_knobs_and_string_bools(self, stored):
-        db, inst = stored
-        r = inst.predicate().r
-        svc = self._service(db)
-        try:
-            a = svc.handle("onion", "maximum", {"k": inst.k, "r": r})
-            b = svc.handle("onion", "maximum", {
-                "k": inst.k, "r": r, "shm": "true",
-                "workers": 2, "split_depth": 1,
-            })
-            c = svc.handle("onion", "maximum", {
-                "k": inst.k, "r": r, "executor": "shm", "workers": 2,
-            })
-            assert a["core"] == b["core"] == c["core"]
-        finally:
-            svc.close()
-
     def test_bad_knob_values_map_to_request_errors(self, stored):
         db, inst = stored
         r = inst.predicate().r
@@ -564,7 +498,7 @@ class TestServeExecutionKnobs:
         try:
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
-                    "k": inst.k, "r": r, "shm": "nope",
+                    "k": inst.k, "r": r, "plan": {"executor": "nope"},
                 })
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
@@ -572,7 +506,12 @@ class TestServeExecutionKnobs:
                 })
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
-                    "k": inst.k, "r": r, "split_depth": 99,
+                    "k": inst.k, "r": r, "plan": {"split_depth": 99},
+                })
+            # The execution scalars are plan fields, not request knobs.
+            with pytest.raises(ServiceError, match="unknown parameters"):
+                svc.handle("onion", "maximum", {
+                    "k": inst.k, "r": r, "workers": 2,
                 })
         finally:
             svc.close()
@@ -622,6 +561,21 @@ class TestCliExecutionFlags:
         shm_out = capsys.readouterr().out
         assert shm_out.splitlines()[0] == serial_out.splitlines()[0]
 
+    @pytest.mark.parametrize("flags, plan", (
+        ([], None),
+        (["--shm", "--workers", "2"], {"shm": True, "workers": 2}),
+        (["--executor", "process", "--split-depth", "1"],
+         {"executor": "process", "split_depth": 1}),
+    ))
+    def test_flags_fold_into_one_plan(self, flags, plan):
+        import argparse
+
+        from repro.cli import _execution_parent, _executor_overrides
+
+        parser = argparse.ArgumentParser(parents=[_execution_parent()])
+        args = parser.parse_args(flags)
+        assert _executor_overrides(args) == ({} if plan is None else {"plan": plan})
+
     def test_shm_shorthand(self, file_graph, capsys):
         from repro.cli import main
 
@@ -631,15 +585,13 @@ class TestCliExecutionFlags:
         ) == 0
         assert "maximal (2,0.5)-cores" in capsys.readouterr().out
 
-    def test_workers_without_executor_deprecated(self, file_graph, capsys):
+    def test_workers_without_executor_is_an_error(self, file_graph, capsys):
         from repro.cli import main
 
-        with pytest.warns(DeprecationWarning, match="--executor"):
-            code = main(
-                ["maximum"] + self._graph_args(file_graph)
-                + ["--workers", "2"]
-            )
-        assert code == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["maximum"] + self._graph_args(file_graph) + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_explicit_executor_does_not_warn(self, file_graph, capsys):
         import warnings

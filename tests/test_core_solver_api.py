@@ -9,7 +9,7 @@ from repro.core.api import (
     krcore_statistics,
 )
 from repro.core.config import adv_enum_config, adv_max_config
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.core.context import Budget
 from repro.exceptions import (
@@ -55,9 +55,23 @@ class TestPrepareComponents:
             g, 2, pred, adv_enum_config(), SearchStats(), Budget(None, None)
         ) == []
 
-    def test_order_components_empty(self):
-        from repro.core.solver import order_components
-        assert order_components([]) == []
+    def test_backends_prepare_the_same_components(self):
+        g = make_random_attr_graph(17, n=12, p=0.6)
+        pred = SimilarityPredicate("jaccard", 0.3)
+        by_backend = {}
+        for backend in ("python", "csr"):
+            ctxs = prepare_components(
+                g, 2, pred, adv_enum_config(backend=backend),
+                SearchStats(), Budget(None, None),
+            )
+            by_backend[backend] = sorted(
+                (sorted(ctx.vertices), sorted(
+                    (u, sorted(nbrs)) for u, nbrs in ctx.adj.items()
+                ))
+                for ctx in ctxs
+            )
+        assert by_backend["python"] == by_backend["csr"]
+        assert by_backend["csr"]  # non-trivial fixture
 
     @pytest.mark.parametrize("backend", ("python", "csr"))
     def test_components_ordered_by_max_degree(self, backend):

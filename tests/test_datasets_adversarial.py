@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from conftest import solve_enum, solve_max
 from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.context import Budget
 from repro.core.bounds import kk_prime_bound
-from repro.core.solver import prepare_components, run_enumeration, run_maximum
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.datasets.adversarial import (
     FAMILIES,
@@ -78,7 +79,7 @@ class TestOnion:
         inst = build_instance(
             "onion", layers=2, options=2, group=3, half=1, core_tokens=6
         )
-        cores, _ = run_enumeration(
+        cores, _ = solve_enum(
             inst.graph, inst.k, inst.predicate(), adv_enum_config()
         )
         # options ** layers selections, all of size layers * group.
@@ -89,7 +90,7 @@ class TestOnion:
         inst = build_instance(
             "onion", layers=2, options=2, group=3, half=1, core_tokens=6
         )
-        best, stats = run_maximum(
+        best, stats = solve_max(
             inst.graph, inst.k, inst.predicate(), adv_max_config()
         )
         assert len(best.vertices) == 6
@@ -120,7 +121,7 @@ class TestRingOfCliques:
         inst = build_instance(
             "ring-of-cliques", cliques=8, clique_size=4, cut_cliques=0
         )
-        cores, _ = run_enumeration(
+        cores, _ = solve_enum(
             inst.graph, inst.k, inst.predicate(), adv_enum_config()
         )
         assert len(cores) == 1
@@ -142,7 +143,7 @@ class TestRingOfCliques:
         inst = build_instance(
             "ring-of-cliques", cliques=9, clique_size=4, cut_cliques=3
         )
-        cores, _ = run_enumeration(
+        cores, _ = solve_enum(
             inst.graph, inst.k, inst.predicate(), adv_enum_config()
         )
         # Cut cliques are mutually dissimilar: no single whole-ring core.

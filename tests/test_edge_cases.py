@@ -12,7 +12,7 @@ import pytest
 from conftest import as_sorted_sets
 from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.core.config import adv_enum_config, adv_max_config
-from repro.core.dynamic import DynamicKRCoreMiner
+from repro.core.session import KRCoreSession
 from repro.exceptions import (
     GraphError,
     MissingAttributeError,
@@ -143,8 +143,8 @@ class TestBudgetInterplay:
     def test_dynamic_miner_with_budget_config(self):
         g, pred = self._heavy_instance()
         cfg = adv_enum_config(node_limit=10_000_000)
-        miner = DynamicKRCoreMiner(g, 2, pred, config=cfg)
-        assert isinstance(miner.cores(), list)
+        session = KRCoreSession(g, config=cfg)
+        assert isinstance(session.enumerate(2, predicate=pred), list)
 
 
 class TestThresholdBoundaries:

@@ -37,7 +37,7 @@ import pytest
 from repro.core.bounds import FAULT_ENV
 from repro.core.context import Budget
 from repro.core.executor import solve_component_task, task_from_context
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.fuzz.differential import run_case
 from repro.fuzz.repro_io import load_repro

@@ -22,7 +22,7 @@ from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.core.bounds import color_kcore_bound, kk_prime_bound
 from repro.core.config import adv_enum_config
 from repro.core.context import Budget
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
