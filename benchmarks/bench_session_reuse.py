@@ -40,8 +40,7 @@ def make_block_graph(blocks: int, size: int, seed: int = 0) -> AttributedGraph:
     """Disjoint dense blocks with block-themed keyword attributes.
 
     Structurally separate blocks keep the k-core components small (the
-    regime the paper's datasets occupy after preprocessing, and the one
-    that lets the session's pairwise-value layer engage); members of a
+    regime the paper's datasets occupy after preprocessing); members of a
     block share a keyword core plus personal variation, so the swept
     thresholds move through the interesting part of the similarity
     distribution.

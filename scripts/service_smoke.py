@@ -213,6 +213,20 @@ def main() -> int:
                               {"k": 2, "r": 0.5})
         check(status == 404, "unknown graph is a 404")
 
+        # malformed knobs are client errors, never a 500 or a silently
+        # ignored deadline
+        status, out = request(
+            base, "POST", "/graphs/adversarial/enumerate",
+            {"k": k, "r": r, "plan": {"bogus": 1}},
+        )
+        check(status == 400 and "error" in out,
+              "unknown plan field is a 400")
+        status, out = request(
+            base, "POST", "/graphs/adversarial/enumerate",
+            {"k": k, "r": r, "time_limit": "nan"},
+        )
+        check(status == 400 and "error" in out, "NaN time_limit is a 400")
+
         status, out = request(base, "POST", "/shutdown")
         check(status == 200, "graceful shutdown accepted")
     finally:

@@ -28,7 +28,7 @@ Every technique of the paper is a flag here, so the benchmark ablations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 from repro.exceptions import InvalidParameterError
@@ -60,6 +60,39 @@ EXECUTORS = ("serial", "process", "shm")
 MAX_SPLIT_DEPTH = 12
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _normalise_execution(obj) -> None:
+    """Sync ``executor``/``shm`` and validate the four execution knobs.
+
+    Shared by :class:`ExecutionPlan` and :class:`SearchConfig`, which
+    both carry the knobs as fields.
+    """
+    if obj.shm and obj.executor != "shm":
+        object.__setattr__(obj, "executor", "shm")
+    elif obj.executor == "shm" and not obj.shm:
+        object.__setattr__(obj, "shm", True)
+    if obj.executor not in EXECUTORS:
+        raise InvalidParameterError(
+            f"executor must be one of {EXECUTORS}, got {obj.executor!r}"
+        )
+    if obj.workers is not None and not (_is_int(obj.workers) and obj.workers >= 1):
+        raise InvalidParameterError(
+            f"workers must be a positive integer, got {obj.workers!r}"
+        )
+    if not _is_int(obj.split_depth):
+        raise InvalidParameterError(
+            f"split_depth must be an integer, got {obj.split_depth!r}"
+        )
+    if not 0 <= obj.split_depth <= MAX_SPLIT_DEPTH:
+        raise InvalidParameterError(
+            f"split_depth must be in [0, {MAX_SPLIT_DEPTH}], "
+            f"got {obj.split_depth}"
+        )
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How component searches execute — the four knobs as one object.
@@ -80,29 +113,10 @@ class ExecutionPlan:
     split_depth: int = 0                # branch-tree split depth (maximum)
 
     def __post_init__(self) -> None:
-        if self.shm and self.executor != "shm":
-            object.__setattr__(self, "executor", "shm")
-        elif self.executor == "shm" and not self.shm:
-            object.__setattr__(self, "shm", True)
-        if self.executor not in EXECUTORS:
-            raise InvalidParameterError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise InvalidParameterError(
-                f"workers must be a positive integer, got {self.workers}"
-            )
-        if not isinstance(self.split_depth, int) or isinstance(
-            self.split_depth, bool
-        ):
-            raise InvalidParameterError(
-                f"split_depth must be an integer, got {self.split_depth!r}"
-            )
-        if not 0 <= self.split_depth <= MAX_SPLIT_DEPTH:
-            raise InvalidParameterError(
-                f"split_depth must be in [0, {MAX_SPLIT_DEPTH}], "
-                f"got {self.split_depth}"
-            )
+        _normalise_execution(self)
+
+
+_PLAN_FIELDS = tuple(f.name for f in fields(ExecutionPlan))
 
 
 def resolve_execution_plan(
@@ -116,6 +130,12 @@ def resolve_execution_plan(
     if plan is None:
         return None
     if isinstance(plan, dict):
+        unknown = set(plan) - set(_PLAN_FIELDS)
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown plan fields {sorted(unknown)}; "
+                f"valid fields are {list(_PLAN_FIELDS)}"
+            )
         plan = ExecutionPlan(**plan)
     if not isinstance(plan, ExecutionPlan):
         raise InvalidParameterError(
@@ -155,12 +175,7 @@ class SearchConfig:
     mode: str = "exact"                 # "exact" | "anytime" | "heuristic"
 
     def __post_init__(self) -> None:
-        # executor/shm are two spellings of one choice (see
-        # ExecutionPlan); keep them in sync before validating.
-        if self.shm and self.executor != "shm":
-            object.__setattr__(self, "executor", "shm")
-        elif self.executor == "shm" and not self.shm:
-            object.__setattr__(self, "shm", True)
+        _normalise_execution(self)
         if self.order not in VERTEX_ORDERS:
             raise InvalidParameterError(
                 f"order must be one of {VERTEX_ORDERS}, got {self.order!r}"
@@ -187,25 +202,6 @@ class SearchConfig:
             raise InvalidParameterError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.executor not in EXECUTORS:
-            raise InvalidParameterError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise InvalidParameterError(
-                f"workers must be a positive integer, got {self.workers}"
-            )
-        if not isinstance(self.split_depth, int) or isinstance(
-            self.split_depth, bool
-        ):
-            raise InvalidParameterError(
-                f"split_depth must be an integer, got {self.split_depth!r}"
-            )
-        if not 0 <= self.split_depth <= MAX_SPLIT_DEPTH:
-            raise InvalidParameterError(
-                f"split_depth must be in [0, {MAX_SPLIT_DEPTH}], "
-                f"got {self.split_depth}"
-            )
         if self.on_budget not in ("raise", "partial"):
             raise InvalidParameterError(
                 f"on_budget must be 'raise' or 'partial', got {self.on_budget!r}"
@@ -216,8 +212,11 @@ class SearchConfig:
             )
         if self.lam < 0:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise InvalidParameterError("time_limit must be positive")
+        # ``not > 0`` also rejects NaN, which compares False either way.
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise InvalidParameterError(
+                f"time_limit must be positive, got {self.time_limit!r}"
+            )
         if self.node_limit is not None and self.node_limit <= 0:
             raise InvalidParameterError("node_limit must be positive")
 
@@ -245,11 +244,9 @@ class SearchConfig:
         ``evolve(executor="serial")`` on an shm config does not snap
         back to ``"shm"`` through the constructor normalisation.
         """
-        plan = changes.pop("plan", None)
+        plan = resolve_execution_plan(changes.pop("plan", None))
         if plan is not None:
-            if isinstance(plan, dict):
-                plan = ExecutionPlan(**plan)
-            for name in ("executor", "workers", "shm", "split_depth"):
+            for name in _PLAN_FIELDS:
                 changes.setdefault(name, getattr(plan, name))
         elif "executor" in changes and "shm" not in changes:
             changes["shm"] = changes["executor"] == "shm"

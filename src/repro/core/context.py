@@ -169,13 +169,11 @@ class BitsetComponentContext:
         adj: Dict[int, Set[int]],
         index: DissimilarityIndex,
     ):
-        verts = np.array(sorted(vertices), dtype=np.int64)
-        n = int(verts.size)
-        words = bitops.word_count(n)
-        local = {int(v): i for i, v in enumerate(verts.tolist())}
-        nbr = np.zeros((n, words), dtype=np.uint64)
-        dis = np.zeros((n, words), dtype=np.uint64)
-        for i, u in enumerate(verts.tolist()):
+        self._layout(np.array(sorted(vertices), dtype=np.int64))
+        local, words = self.local, self.words
+        nbr = np.zeros((self.n, words), dtype=np.uint64)
+        dis = np.zeros((self.n, words), dtype=np.uint64)
+        for i, u in enumerate(self.verts.tolist()):
             row = np.fromiter(
                 (local[v] for v in adj[u]), dtype=np.int64,
                 count=len(adj[u]),
@@ -189,18 +187,7 @@ class BitsetComponentContext:
             )
             if row.size:
                 dis[i] = bitops.mask_from_indices(row, words)
-        self.n = n
-        self.words = words
-        self.verts = verts
-        self.local = local
-        self.nbr = nbr
-        self.dis = dis
-        self.full = bitops.mask_from_indices(np.arange(n, dtype=np.int64), words)
-        sim = (~dis) & self.full
-        for i in range(n):
-            sim[i, i >> 6] &= ~(np.uint64(1) << np.uint64(i & 63))
-        self.sim = sim
-        self._scratch = np.zeros((self.SCRATCH_ROWS, words), dtype=np.uint64)
+        self._adopt_rows(nbr, dis)
 
     @classmethod
     def from_packed(
@@ -213,29 +200,34 @@ class BitsetComponentContext:
 
         The shared-memory executor ships the coordinator's ``nbr``/``dis``
         matrices (and sorted ``verts``) to workers verbatim; everything
-        else — the local-id map, the ``sim`` matrix, the full mask and
-        the scratch pool — is derived here exactly as ``__init__`` would
-        derive it, so the rebuilt context is indistinguishable from one
-        packed in place.  The caller must own the arrays (they are
-        stored, not copied).
+        else is derived by the same two steps ``__init__`` runs, so the
+        rebuilt context is indistinguishable from one packed in place.
+        The caller must own the arrays (they are stored, not copied).
         """
         self = cls.__new__(cls)
-        verts = np.asarray(verts, dtype=np.int64)
+        self._layout(np.asarray(verts, dtype=np.int64))
+        self._adopt_rows(nbr, dis)
+        return self
+
+    def _layout(self, verts: np.ndarray) -> None:
+        """Everything that depends on the vertex set alone."""
         n = int(verts.size)
         words = bitops.word_count(n)
         self.n = n
         self.words = words
         self.verts = verts
         self.local = {int(v): i for i, v in enumerate(verts.tolist())}
+        self.full = bitops.mask_from_indices(np.arange(n, dtype=np.int64), words)
+        self._scratch = np.zeros((self.SCRATCH_ROWS, words), dtype=np.uint64)
+
+    def _adopt_rows(self, nbr: np.ndarray, dis: np.ndarray) -> None:
+        """Store the packed rows and derive the similarity graph ``sim``."""
         self.nbr = nbr
         self.dis = dis
-        self.full = bitops.mask_from_indices(np.arange(n, dtype=np.int64), words)
         sim = (~dis) & self.full
-        for i in range(n):
+        for i in range(self.n):
             sim[i, i >> 6] &= ~(np.uint64(1) << np.uint64(i & 63))
         self.sim = sim
-        self._scratch = np.zeros((self.SCRATCH_ROWS, words), dtype=np.uint64)
-        return self
 
     def scratch(self, row: int) -> np.ndarray:
         """A pooled per-node mask buffer (see :data:`SCRATCH_ROWS`).

@@ -6,9 +6,9 @@ profiles here are thin orchestration over
 :class:`~repro.core.session.KRCoreSession`, which supplies the two
 observations that make sweeps much cheaper than independent runs:
 
-* **r-sweeps** (similarity thresholds): pairwise metric values do not
-  change, only the comparison does — the session's edge-value and
-  pairwise-index caches recompare cached values at each threshold;
+* **r-sweeps** (similarity thresholds): edge metric values do not
+  change, only the comparison does — the session's edge-value cache
+  recompares cached values at each threshold;
 
 * **k-sweeps**: the k-core is monotone (the (k+1)-core is inside the
   k-core), so the session seeds the structural peeling for larger ``k``

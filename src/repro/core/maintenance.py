@@ -45,12 +45,12 @@ back to the old wholesale invalidation — equivalence between the two
 paths is enforced by the edit-stream dimension of the differential fuzz
 harness (``scripts/fuzz_krcore.py --edit-streams``).
 
-The signature-keyed result cache and the revision-guarded pairwise cache
-are sound under *any* eviction policy (a stale entry can only be hit
-when its exact inputs recur, in which case it is valid), so maintenance
-here is a precision/performance layer, never a correctness gate — except
-that it must keep the preprocessing caches value-identical to a fresh
-session's, which is what the fuzz harness checks counter-for-counter.
+The signature-keyed result cache is sound under *any* eviction policy (a
+stale entry can only be hit when its exact inputs recur, in which case
+it is valid), so maintenance here is a precision/performance layer,
+never a correctness gate — except that it must keep the preprocessing
+caches value-identical to a fresh session's, which is what the fuzz
+harness checks counter-for-counter.
 """
 
 from __future__ import annotations
@@ -60,13 +60,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.bounds import FAULT_ENV
-from repro.core.solver import (
-    component_adjacency,
-    component_edges_key,
-    component_edges_key_csr,
-    max_component_degree,
-)
-from repro.core.stats import SearchStats
 from repro.graph import csr as _csr
 from repro.graph.components import local_components
 from repro.graph.kcore import incremental_kcore_update
@@ -98,10 +91,10 @@ def maintain_session(session, kind: str, u: int, v: Optional[int] = None) -> boo
     """Patch every cache of ``session`` for one already-applied edit.
 
     ``kind`` is ``"add_edge"`` / ``"remove_edge"`` / ``"attribute"``;
-    the session's graph has already been mutated (and, for attribute
-    edits, its revision bumped).  Returns ``True`` when every layer was
-    brought in step (the session must then *not* bump its version) and
-    ``False`` when the caller should fall back to invalidation.
+    the session's graph has already been mutated.  Returns ``True``
+    when every layer was brought in step (the session must then *not*
+    bump its version) and ``False`` when the caller should fall back to
+    invalidation.
     """
     ms: MaintenanceStats = session.maintenance_stats
     ms.edits += 1
@@ -114,8 +107,8 @@ def maintain_session(session, kind: str, u: int, v: Optional[int] = None) -> boo
         ok = _maintain(session, kind, int(u), None if v is None else int(v), ms)
     except Exception:
         # A partially-patched preprocessing cache is erased by the
-        # fallback invalidation; the guarded caches (results, pairwise)
-        # stay sound under partial updates by construction.
+        # fallback invalidation; the signature-guarded result cache
+        # stays sound under partial updates by construction.
         ms.errors += 1
         ok = False
     if ok:
@@ -227,22 +220,8 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
             ms.survivors_added += len(came)
 
     # ------------------------------------------------------------------
-    # Pairwise layer: attribute edits refresh covered rows in place,
-    # *before* any component rebuild below — the refreshed revisions let
-    # ``_component_index`` keep serving the cached entry instead of
-    # paying an O(size^2) rebuild at edit time.  (The revision guard
-    # would otherwise just retire the entries, which stays sound.)
-    # ------------------------------------------------------------------
-    if kind == "attribute":
-        for key, (cache, _revs) in list(session._pairwise.items()):
-            if cache.refresh_vertex(graph, u):
-                session._pairwise[key] = (cache, session._revs_of(cache.vertices))
-
-    # ------------------------------------------------------------------
     # Component layer: rebuild only the parts the edit touched.
     # ------------------------------------------------------------------
-    from repro.core.session import _PreparedComponent  # deferred: session imports us
-
     for pkey in list(session._prepared):
         mkey, r, backend, k = pkey
         fkey = (mkey, r, backend)
@@ -298,28 +277,12 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         predicate = session._predicates.get((mkey, r))
         if predicate is None:
             return False
-        served = session._metric_queries.get(mkey, 0)
-        scratch = SearchStats()
-        new_parts = []
-        for comp in comps:
-            adj = component_adjacency(filtered, comp, survivors, backend)
-            index = session._component_index(
-                mkey, predicate, comp, k, backend, served, scratch
+        new_parts = [
+            session._prepared_component(
+                predicate, backend, filtered, survivors, comp
             )
-            if backend == "csr":
-                edges_key = component_edges_key_csr(comp, filtered, survivors)
-            else:
-                edges_key = component_edges_key(adj)
-            new_parts.append(
-                _PreparedComponent(
-                    vertices=frozenset(comp),
-                    adj=adj,
-                    index=index,
-                    signature=(frozenset(comp), edges_key, index.pair_key()),
-                    max_degree=max_component_degree(adj),
-                    csr=filtered if backend == "csr" else None,
-                )
-            )
+            for comp in comps
+        ]
 
         old_sigs = {p.signature for p in affected}
         dead_sigs = old_sigs - {p.signature for p in new_parts}
@@ -361,9 +324,4 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
             key=lambda p: (-p.max_degree, -len(p.vertices), min(p.vertices))
         )
         session._prepared[pkey] = merged
-
-    # The structural backbone (``session._backbone``) is deliberately
-    # left alone: it only ever serves as a superset hint, and both its
-    # users re-verify (``comp <= backbone`` and the attribute-revision
-    # guard), so staleness costs reuse, never correctness.
     return True

@@ -13,12 +13,10 @@ graph once and serves repeated queries against layered caches:
   resulting filtered graph is cached per ``(metric, r)``;
 * **survivor layer** — k-core peels are cached per ``(metric, r)`` and
   warm-started from the largest cached smaller ``k`` (the k-core is
-  monotone, so seeding is lossless);
-* **index layer** — from the second query per metric on, component
-  dissimilarity indexes are served from
-  :class:`~repro.similarity.cache.PairwiseSimilarityCache` objects built
-  over the *structural* k-core components (supersets of every ``(k, r)``
-  component), so r- and k-sweeps re-threshold cached pairwise values;
+  monotone, so seeding is lossless); each ``(metric, r, k)`` point's
+  components, with their adjacency and the dissimilarity index built
+  from the filtered component (Algorithm 1 lines 1–4), are cached with
+  them, so repeating a point skips preprocessing entirely;
 * **result layer** — per-component solver results are cached under a
   sound component signature (vertex set, similar-edge set,
   dissimilar-pair set: exactly the engines' inputs), so repeating a
@@ -97,19 +95,13 @@ from repro.core.solver import (
 from repro.core.stats import SearchStats
 from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
-from repro.graph.kcore import k_core_vertices
-from repro.similarity.cache import EdgeSimilarityCache, PairwiseSimilarityCache
+from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.threshold import SimilarityPredicate
 
 #: ``(metric callable, comparison direction)`` — the cache dimension a
 #: predicate contributes besides its threshold.
 MetricKey = Tuple[Callable, Any]
-
-#: Cap on retained PairwiseSimilarityCache entries (each is
-#: ``O(size^2)`` floats); least-recently-used entries are evicted.
-_PAIRWISE_ENTRY_CAP = 32
 
 
 def resolve_enumeration_setup(
@@ -194,10 +186,6 @@ class KRCoreSession:
         Default preprocessing backend (``"csr"``/``"python"``);
         overrides the config's backend for every query unless the query
         passes its own ``backend=``.
-    pairwise_cache_limit:
-        Largest structural component for which all-pairs metric values
-        are cached (``O(size^2)`` floats each); larger components fall
-        back to per-query index builds.
     result_cache_limit:
         Maximum number of cached per-component search results (LRU
         eviction), bounding memory on long edit/re-query loops.
@@ -213,7 +201,7 @@ class KRCoreSession:
     >>> session = KRCoreSession(g)
     >>> session.enumerate(k=3, r=0.5)       # cold: full preprocessing
     >>> session.enumerate(k=3, r=0.6)       # warm: recompares, re-peels
-    >>> session.maximum(k=4, r=0.6)         # warm: seeded peel, cached index
+    >>> session.maximum(k=4, r=0.6)         # warm: seeded peel
     >>> session.sweep(ks=[2, 3], rs=[0.4, 0.5, 0.6])
     """
 
@@ -225,7 +213,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         copy: bool = True,
-        pairwise_cache_limit: int = 2048,
         result_cache_limit: int = 4096,
         maintenance: bool = True,
     ):
@@ -238,9 +225,7 @@ class KRCoreSession:
         self._default_metric = metric
         self._default_config = config
         self._default_backend = backend
-        self._pairwise_limit = pairwise_cache_limit
         self._result_limit = result_cache_limit
-        self._attr_revs: Dict[int, int] = {}
         self._version = 0       # bumped by every graph edit
         self._prep_version = 0  # version the preprocessing caches match
         # Preprocessing caches — dropped wholesale after any edit.
@@ -248,16 +233,12 @@ class KRCoreSession:
         self._filtered: Dict[Tuple[MetricKey, float, str], Any] = {}
         self._survivors: Dict[Tuple[MetricKey, float, str], Dict[int, Any]] = {}
         self._prepared: Dict[Tuple, List[_PreparedComponent]] = {}
-        self._backbone: Dict[int, Tuple[List[FrozenSet[int]], Dict[int, int]]] = {}
-        # Cross-edit caches — guarded by signatures / attribute revisions.
-        self._pairwise: Dict[Tuple, Tuple[PairwiseSimilarityCache, Tuple]] = {}
+        # Cross-edit cache — guarded by component signatures.
         self._results: Dict[Tuple, Any] = {}
-        self._metric_queries: Dict[MetricKey, int] = {}
         # Result entries computed since the last save (write-through set
         # for :meth:`save`) and observable eviction counters.
         self._unsaved_results: Set[Tuple] = set()
         self._result_evictions = 0
-        self._pairwise_evictions = 0
         # Predicates seen per (metric, r) — the maintenance layer needs
         # them to rebuild component indexes outside a query.
         self._predicates: Dict[Tuple[MetricKey, float], SimilarityPredicate] = {}
@@ -301,7 +282,6 @@ class KRCoreSession:
         ):
             return False
         self._graph.set_attribute(u, value)
-        self._attr_revs[u] = self._attr_revs.get(u, 0) + 1
         self._after_edit("attribute", u)
         return True
 
@@ -354,7 +334,7 @@ class KRCoreSession:
         """Clear only the cached per-component search results.
 
         Preprocessing caches (filtered graphs, survivor sets, prepared
-        components, pairwise values) stay — the next query repeats the
+        components) stay — the next query repeats the
         search work but none of the preprocessing.  The differential
         harness uses this to compare a maintained session's
         preprocessing, counter for counter, against a fresh session's.
@@ -372,8 +352,6 @@ class KRCoreSession:
         self._touch()
         self._results.clear()
         self._unsaved_results.clear()
-        self._pairwise.clear()
-        self._metric_queries.clear()
         self._ensure_fresh()
 
     # ------------------------------------------------------------------
@@ -397,11 +375,6 @@ class KRCoreSession:
                 "evictions": self._result_evictions,
                 "unsaved": len(self._unsaved_results),
             },
-            "pairwise": {
-                "size": len(self._pairwise),
-                "limit": _PAIRWISE_ENTRY_CAP,
-                "evictions": self._pairwise_evictions,
-            },
             "edge_values": {
                 "size": len(self._edge_values),
                 "entries": sorted(
@@ -417,7 +390,6 @@ class KRCoreSession:
             "reused": {
                 "preprocess": self.total_stats.reused_preprocess,
                 "filters": self.total_stats.reused_filters,
-                "indexes": self.total_stats.reused_indexes,
                 "seeded_peels": self.total_stats.seeded_peels,
             },
             "maintenance": self.maintenance_stats.to_dict(),
@@ -476,7 +448,6 @@ class KRCoreSession:
         metric: Union[str, Callable] = "jaccard",
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
-        pairwise_cache_limit: int = 2048,
         result_cache_limit: int = 4096,
         maintenance: bool = True,
     ) -> "KRCoreSession":
@@ -489,10 +460,6 @@ class KRCoreSession:
         whose fingerprint matches the stored graph are restored; a
         stale row (post-edit, or written for a different graph) is
         skipped and simply recomputed on demand.
-
-        Query counters start from zero: a loaded session's *first* query
-        per metric takes the same preprocessing path as a fresh
-        session's, so stats stay comparable across restarts.
         """
         from repro.exceptions import InvalidParameterError as _IPE
         from repro.exceptions import StoreError
@@ -505,7 +472,6 @@ class KRCoreSession:
             config=config,
             backend=backend,
             copy=False,
-            pairwise_cache_limit=pairwise_cache_limit,
             result_cache_limit=result_cache_limit,
             maintenance=maintenance,
         )
@@ -542,7 +508,6 @@ class KRCoreSession:
             self._filtered.clear()
             self._survivors.clear()
             self._prepared.clear()
-            self._backbone.clear()
             self._prep_version = self._version
 
     # ------------------------------------------------------------------
@@ -849,8 +814,9 @@ class KRCoreSession:
         """Statistics over the ``ks`` × ``rs`` grid, one row per point.
 
         Rows are emitted in request order (``for k in ks: for r in rs``)
-        but computed threshold-major with ``k`` ascending so the
-        monotone-peel and pairwise-value layers see their best case.
+        but computed threshold-major with ``k`` ascending, so every ``k``
+        of a threshold shares one filtered graph and each peel seeds the
+        next.
         Each row is ``{"k", "r", "count", "max_size", "avg_size"}``.
 
         On the process executor the whole grid's uncached component
@@ -1262,36 +1228,47 @@ class KRCoreSession:
             stats.reused_preprocess += 1
             stats.components = len(parts)
             return parts
-        served = self._metric_queries.get(mkey, 0)
         filtered = self._filtered_graph(mkey, predicate, backend, stats)
         survivors = self._survivor_set(
             mkey, predicate, backend, filtered, k, stats
         )
-        parts = []
-        for comp in component_sets(filtered, survivors, backend):
-            adj = component_adjacency(filtered, comp, survivors, backend)
-            index = self._component_index(
-                mkey, predicate, comp, k, backend, served, stats
-            )
-            if backend == "csr":
-                edges_key = component_edges_key_csr(comp, filtered, survivors)
-            else:
-                edges_key = component_edges_key(adj)
-            parts.append(
-                _PreparedComponent(
-                    vertices=frozenset(comp),
-                    adj=adj,
-                    index=index,
-                    signature=(frozenset(comp), edges_key, index.pair_key()),
-                    max_degree=max_component_degree(adj),
-                    csr=filtered if backend == "csr" else None,
-                )
-            )
+        parts = [
+            self._prepared_component(predicate, backend, filtered, survivors, comp)
+            for comp in component_sets(filtered, survivors, backend)
+        ]
         parts.sort(key=lambda part: -part.max_degree)  # stable: ties keep order
         self._prepared[pkey] = parts
-        self._metric_queries[mkey] = served + 1
         stats.components = len(parts)
         return parts
+
+    def _prepared_component(
+        self,
+        predicate: SimilarityPredicate,
+        backend: str,
+        filtered,
+        survivors,
+        comp: Set[int],
+    ) -> _PreparedComponent:
+        """Algorithm 1 lines 3–4 for one component of the filtered k-core.
+
+        Shared with the maintenance layer, which rebuilds only the
+        components an edit touched.
+        """
+        adj = component_adjacency(filtered, comp, survivors, backend)
+        index = component_index(self._substrate(backend), predicate, comp, backend)
+        if backend == "csr":
+            edges_key = component_edges_key_csr(comp, filtered, survivors)
+        else:
+            edges_key = component_edges_key(adj)
+        vertices = frozenset(comp)
+        return _PreparedComponent(
+            vertices=vertices,
+            adj=adj,
+            index=index,
+            signature=(vertices, edges_key, index.pair_key()),
+            max_degree=max_component_degree(adj),
+            csr=filtered if backend == "csr" else None,
+        )
 
     # ------------------------------------------------------------------
     # Bounded cross-edit caches (LRU over dict insertion order)
@@ -1366,102 +1343,3 @@ class KRCoreSession:
             stats.seeded_peels += 1
         per_k[k] = survivors
         return survivors
-
-    def _component_index(
-        self,
-        mkey: MetricKey,
-        predicate: SimilarityPredicate,
-        comp: Set[int],
-        k: int,
-        backend: str,
-        served: int,
-        stats: SearchStats,
-    ):
-        # The pairwise layer only pays off from the second query per
-        # metric on — a throwaway (one-shot) session never builds it.
-        if served >= 1 and len(comp) > 1:
-            entry = self._pairwise_entry(mkey, predicate, comp, k)
-            if entry is not None:
-                cache, fresh = entry
-                if not fresh:
-                    stats.reused_indexes += 1
-                return cache.index_at(predicate.r, comp)
-        return component_index(self._substrate(backend), predicate, comp, backend)
-
-    def _pairwise_entry(
-        self,
-        mkey: MetricKey,
-        predicate: SimilarityPredicate,
-        comp: Set[int],
-        k: int,
-    ) -> Optional[Tuple[PairwiseSimilarityCache, bool]]:
-        backbone = self._backbone_comp(k, comp)
-        if backbone is None or len(backbone) > self._pairwise_limit:
-            # No (cacheable) backbone — an older entry may still cover it.
-            for (entry_mkey, _), (cache, revs) in self._pairwise.items():
-                if (
-                    entry_mkey == mkey
-                    and comp <= set(cache.vertices)
-                    and revs == self._revs_of(cache.vertices)
-                ):
-                    return cache, False
-            return None
-        key = (mkey, backbone)
-        revs = self._revs_of(backbone)
-        entry = self._pairwise.pop(key, None)
-        if entry is not None and entry[1] == revs:
-            self._pairwise[key] = entry  # LRU bump
-            return entry[0], False
-        cache = PairwiseSimilarityCache(self._graph, predicate, backbone)
-        self._pairwise[key] = (cache, revs)
-        while len(self._pairwise) > _PAIRWISE_ENTRY_CAP:
-            self._pairwise.pop(next(iter(self._pairwise)))
-            self._pairwise_evictions += 1
-        return cache, True
-
-    def _backbone_comp(self, k: int, comp: Set[int]) -> Optional[FrozenSet[int]]:
-        """The structural k-core component containing ``comp``.
-
-        The k-core of the *unfiltered* graph upper-bounds the k-core of
-        every ``(k, r)``-filtered graph, so its components are supersets
-        of every similarity-filtered component at the same ``k`` —
-        pairwise values cached there serve all thresholds.
-        """
-        cached = self._backbone.get(k)
-        if cached is None:
-            source = self._csr if self._csr is not None else self._graph
-            survivors = k_core_vertices(source, k)
-            # Attributeless vertices can never enter a filtered component
-            # (the edge filter drops all their edges), so restricting the
-            # backbone to attributed vertices keeps the superset property
-            # while letting the pairwise cache require every attribute.
-            comps = [
-                frozenset(
-                    v for v in c if self._graph.has_attribute(v)
-                )
-                for c in connected_components(source, survivors)
-            ]
-            comps = [c for c in comps if c]
-            where = {u: i for i, c in enumerate(comps) for u in c}
-            cached = (comps, where)
-            self._backbone[k] = cached
-        comps, where = cached
-        idx = where.get(next(iter(comp)))
-        if idx is None:
-            return None
-        backbone = comps[idx]
-        if not comp <= backbone:
-            return None
-        return backbone
-
-    def _revs_of(self, vertices: Iterable[int]) -> Tuple:
-        revs = self._attr_revs
-        return tuple(
-            sorted((u, revs[u]) for u in vertices if revs.get(u))
-        )
-
-    # Shared with the maintenance layer; see
-    # :func:`repro.core.solver.component_edges_key` /
-    # :func:`repro.core.solver.component_edges_key_csr`.
-    _edges_key = staticmethod(component_edges_key)
-    _edges_key_csr = staticmethod(component_edges_key_csr)

@@ -36,7 +36,6 @@ class SearchStats:
     cache_misses: int = 0          # components solved by a fresh engine run
     reused_preprocess: int = 0     # full per-(k, r) component preparations reused
     reused_filters: int = 0        # (metric, r) filtered graphs served from cache
-    reused_indexes: int = 0        # component indexes built from cached pairwise values
     seeded_peels: int = 0          # k-core peels warm-started from a smaller k
     shared_bound: int = 0          # best incumbent size published via the
                                    # cross-worker shared bound (advisory;

@@ -1,19 +1,12 @@
-"""Similarity value caches for threshold sweeps and prepared sessions.
+"""Per-edge similarity values for threshold sweeps and prepared sessions.
 
 The Figure 7 / 13 / 14 experiments sweep the threshold ``r`` over the
-same graph; recomputing every pairwise metric value per sweep point is
-pure waste, since only the *comparison* changes.  Two caches exploit
-that:
-
-* :class:`PairwiseSimilarityCache` stores the raw metric values for all
-  pairs within a vertex set once and can then materialise a
-  :class:`~repro.similarity.index.DissimilarityIndex` (or a filtered
-  predicate decision) for any threshold in O(pairs) comparisons.
-
-* :class:`EdgeSimilarityCache` stores one metric value per *edge* of a
-  frozen graph, so the dissimilar-edge deletion of Algorithm 1 line 1
-  becomes a pure comparison pass at every threshold instead of ``O(m)``
-  metric evaluations.
+same graph; recomputing every metric value per sweep point is pure
+waste, since only the *comparison* changes.
+:class:`EdgeSimilarityCache` stores one metric value per *edge* of a
+frozen graph, so the dissimilar-edge deletion of Algorithm 1 line 1
+becomes a pure comparison pass at every threshold instead of ``O(m)``
+metric evaluations.
 
 Used by :class:`repro.core.session.KRCoreSession` (and through it the
 multi-threshold profiles of :mod:`repro.core.decomposition`).
@@ -21,215 +14,21 @@ multi-threshold profiles of :mod:`repro.core.decomposition`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
-from repro.similarity.index import (
-    DissimilarityIndex,
-    edge_profile_similarities,
-)
+from repro.similarity.index import edge_profile_similarities
 from repro.similarity.metrics import (
     MetricKind,
     euclidean_distance,
     jaccard,
-    require_attribute,
     weighted_jaccard,
 )
 from repro.similarity.threshold import SimilarityPredicate
-
-#: Vocabulary cap for the vectorised pairwise Jaccard fill (falls back to
-#: the scalar double loop beyond it).
-_PAIRWISE_MAX_VOCABULARY = 4096
-
-
-class PairwiseSimilarityCache:
-    """All pairwise metric values within one vertex set.
-
-    Parameters
-    ----------
-    graph / metric_predicate:
-        The predicate supplies the metric and its threshold *direction*;
-        its ``r`` is ignored (that is the point of the cache).
-    vertices:
-        Vertex set to cover; ``O(|V|^2)`` values are stored.
-    """
-
-    def __init__(
-        self,
-        graph: AttributedGraph,
-        predicate: SimilarityPredicate,
-        vertices: Iterable[int],
-    ):
-        self._kind = predicate.kind
-        self._metric = predicate.metric
-        self._vertices: List[int] = sorted(set(vertices))
-        n = len(self._vertices)
-        self._pos = {u: i for i, u in enumerate(self._vertices)}
-        self._values = np.zeros((n, n), dtype=np.float64)
-        if self._metric is euclidean_distance and n >= 2:
-            pts = np.array(
-                [require_attribute(graph.attribute(u), u) for u in self._vertices]
-            )
-            dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-            dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-            self._values = np.sqrt(dx * dx + dy * dy)
-        elif not (
-            self._metric is jaccard
-            and n >= 2
-            and self._fill_jaccard(graph)
-        ):
-            attrs = [
-                require_attribute(graph.attribute(u), u)
-                for u in self._vertices
-            ]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = self._metric(attrs[i], attrs[j])
-                    self._values[i, j] = v
-                    self._values[j, i] = v
-
-    def _fill_jaccard(self, graph: AttributedGraph) -> bool:
-        """Vectorised all-pairs Jaccard fill (exact for set attributes).
-
-        Profiles become rows of a binary membership matrix; pairwise
-        intersections are one matmul and unions follow from row sums —
-        all small integers represented exactly in float64, so the values
-        match the scalar metric bit-for-bit (including the both-empty and
-        empty-intersection = 0.0 conventions).  Returns ``False`` when
-        the joint vocabulary outgrows the dense representation (caller
-        runs the scalar double loop instead).
-        """
-        vocabulary: Dict[object, int] = {}
-        profiles: List[Set[object]] = []
-        for u in self._vertices:
-            profile = set(require_attribute(graph.attribute(u), u))
-            profiles.append(profile)
-            for key in profile:
-                if key not in vocabulary:
-                    vocabulary[key] = len(vocabulary)
-                    if len(vocabulary) > _PAIRWISE_MAX_VOCABULARY:
-                        return False
-        n = len(self._vertices)
-        d = max(1, len(vocabulary))
-        if n * d > 64_000_000:
-            return False
-        member = np.zeros((n, d), dtype=np.float64)
-        for i, profile in enumerate(profiles):
-            for key in profile:
-                member[i, vocabulary[key]] = 1.0
-        sizes = member.sum(axis=1)
-        inter = member @ member.T
-        union = sizes[:, None] + sizes[None, :] - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(
-                (union > 0.0) & (inter > 0.0), inter / union, 0.0
-            )
-        np.fill_diagonal(values, 0.0)
-        self._values = values
-        return True
-
-    def refresh_vertex(self, graph: AttributedGraph, u: int) -> bool:
-        """Recompute ``u``'s row/column after its attribute changed.
-
-        The row is produced by the same formulas as the initial fill
-        (the vectorised euclid expression, the exact-int Jaccard ratio,
-        or the scalar metric), so a refreshed cache is value-identical
-        to one built fresh on the edited graph.  Returns whether ``u``
-        is covered by this cache; uncovered vertices are a no-op.
-        """
-        i = self._pos.get(u)
-        if i is None:
-            return False
-        n = len(self._vertices)
-        if n < 2:
-            return True
-        if self._metric is euclidean_distance:
-            pts = np.array(
-                [require_attribute(graph.attribute(w), w) for w in self._vertices]
-            )
-            dx = pts[i, 0] - pts[:, 0]
-            dy = pts[i, 1] - pts[:, 1]
-            row = np.sqrt(dx * dx + dy * dy)
-        elif self._metric is jaccard:
-            profile = set(require_attribute(graph.attribute(u), u))
-            row = np.zeros(n, dtype=np.float64)
-            for j, w in enumerate(self._vertices):
-                other = set(require_attribute(graph.attribute(w), w))
-                inter = len(profile & other)
-                union = len(profile) + len(other) - inter
-                row[j] = inter / union if inter > 0 else 0.0
-        else:
-            attr_u = require_attribute(graph.attribute(u), u)
-            row = np.zeros(n, dtype=np.float64)
-            for j, w in enumerate(self._vertices):
-                if j == i:
-                    continue
-                row[j] = self._metric(
-                    attr_u, require_attribute(graph.attribute(w), w)
-                )
-        row[i] = 0.0
-        self._values[i, :] = row
-        self._values[:, i] = row
-        return True
-
-    @property
-    def vertices(self) -> Sequence[int]:
-        return tuple(self._vertices)
-
-    @property
-    def kind(self) -> MetricKind:
-        return self._kind
-
-    def value(self, u: int, v: int) -> float:
-        """Cached metric value between two covered vertices."""
-        try:
-            return float(self._values[self._pos[u], self._pos[v]])
-        except KeyError:
-            raise InvalidParameterError(
-                f"vertex pair ({u}, {v}) is not covered by this cache"
-            ) from None
-
-    def similar(self, u: int, v: int, r: float) -> bool:
-        """Threshold decision at an arbitrary ``r`` (no metric call)."""
-        value = self.value(u, v)
-        if self._kind is MetricKind.SIMILARITY:
-            return value >= r
-        return value <= r
-
-    def index_at(self, r: float, vertices: Iterable[int] | None = None) -> DissimilarityIndex:
-        """Dissimilarity index at threshold ``r`` from cached values."""
-        vs = self._vertices if vertices is None else sorted(set(vertices))
-        idx = [self._pos[u] for u in vs]
-        sub = self._values[np.ix_(idx, idx)]
-        if self._kind is MetricKind.SIMILARITY:
-            dissim_matrix = sub < r
-        else:
-            dissim_matrix = sub > r
-        np.fill_diagonal(dissim_matrix, False)
-        out: Dict[int, Set[int]] = {}
-        ids = np.asarray(vs)
-        for local, u in enumerate(vs):
-            out[u] = {int(w) for w in ids[dissim_matrix[local]]}
-        return DissimilarityIndex(out)
-
-    def threshold_sweep_counts(self, thresholds: Sequence[float]) -> List[int]:
-        """Number of similar pairs at each threshold (cheap profile)."""
-        n = len(self._vertices)
-        if n < 2:
-            return [0 for _ in thresholds]
-        iu = np.triu_indices(n, k=1)
-        flat = self._values[iu]
-        counts = []
-        for r in thresholds:
-            if self._kind is MetricKind.SIMILARITY:
-                counts.append(int(np.count_nonzero(flat >= r)))
-            else:
-                counts.append(int(np.count_nonzero(flat <= r)))
-        return counts
 
 
 class EdgeSimilarityCache:

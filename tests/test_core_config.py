@@ -44,6 +44,8 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SearchConfig(time_limit=0)
         with pytest.raises(InvalidParameterError):
+            SearchConfig(time_limit=float("nan"))
+        with pytest.raises(InvalidParameterError):
             SearchConfig(node_limit=-5)
 
     def test_evolve(self):

@@ -80,7 +80,7 @@ class TestEdits:
     def test_attributeless_vertex_survives_refresh(self, jaccard_half):
         # Vertex 3 never gets an attribute; it stays in the structural
         # k-core but outside every filtered component.  Re-queries
-        # (which use the session's pairwise layer) must handle it.
+        # (which run on maintained caches) must handle it.
         g = AttributedGraph(4)
         for i in range(4):
             for j in range(i + 1, 4):

@@ -1,7 +1,7 @@
 """Streaming-edit maintenance: in-place cache patches vs recompute.
 
 Covers the bounded-scope maintenance layer end to end: the incremental
-k-core kernel and seeded component discovery as units, the edge/pairwise
+k-core kernel and seeded component discovery as units, the edge-value
 cache refreshes against freshly-built caches, session-level equivalence
 with a fresh session after boundary-hugging edits (threshold-exact
 attribute flips, k-degree boundary deletions, isolated vertices), batch
@@ -29,7 +29,7 @@ from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.components import connected_components, local_components
 from repro.graph.csr import CSRGraph
 from repro.graph.kcore import incremental_kcore_update, k_core_vertices
-from repro.similarity.cache import EdgeSimilarityCache, PairwiseSimilarityCache
+from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.threshold import SimilarityPredicate
 
 
@@ -215,35 +215,6 @@ class TestCacheRefreshUnits:
         for r in rs:
             assert cache.decisions(pairs, r) == fresh.decisions(pairs, r), \
                 (kind, r)
-
-    @pytest.mark.parametrize("metric", ("jaccard", "euclidean"))
-    @pytest.mark.parametrize("seed", range(4))
-    def test_pairwise_refresh_vertex(self, seed, metric):
-        rng = random.Random(seed)
-        if metric == "euclidean":
-            g = make_geo_graph(seed, n=8)
-            new_value = (rng.uniform(0, 50), rng.uniform(0, 50))
-        else:
-            g = make_random_attr_graph(seed, n=8)
-            new_value = frozenset(rng.sample("abcdef", 2))
-        predicate = SimilarityPredicate(metric, 0.5)
-        vertices = sorted(rng.sample(range(8), 6))
-        cache = PairwiseSimilarityCache(g, predicate, vertices)
-        u = rng.choice(vertices)
-        g.set_attribute(u, new_value)
-        assert cache.refresh_vertex(g, u)
-        fresh = PairwiseSimilarityCache(g, predicate, vertices)
-        for i in vertices:
-            for j in vertices:
-                if i != j:
-                    assert cache.value(i, j) == fresh.value(i, j), (i, j)
-
-    def test_pairwise_refresh_uncovered_vertex_is_noop(self):
-        g = make_random_attr_graph(0, n=6)
-        cache = PairwiseSimilarityCache(
-            g, SimilarityPredicate("jaccard", 0.5), [0, 1, 2]
-        )
-        assert not cache.refresh_vertex(g, 5)
 
 
 class TestSessionMaintenance:

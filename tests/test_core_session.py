@@ -108,10 +108,10 @@ class TestOneShotParity:
             session.enumerate(0, 0.5)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_attributeless_vertex_in_backbone(self, backend):
+    def test_attributeless_vertex_in_structural_core(self, backend):
         # Vertex 3 has no attribute: it survives the *structural* k-core
-        # (the pairwise layer's backbone) but can never enter a filtered
-        # component.  Warm queries must not trip over it.
+        # but the edge filter drops all its edges, so it can never enter
+        # a filtered component.  Warm queries must not trip over it.
         g = AttributedGraph(4)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -119,7 +119,7 @@ class TestOneShotParity:
         for u in (0, 1, 2):
             g.set_attribute(u, frozenset({"x", "y"}))
         session = KRCoreSession(g, backend=backend)
-        for r in (0.5, 0.4, 0.3):  # 2nd+ queries use the pairwise layer
+        for r in (0.5, 0.4, 0.3):  # 2nd+ queries reuse the edge values
             got = session.enumerate(2, r)
             want = enumerate_maximal_krcores(g, 2, r, backend=backend)
             assert as_sorted_sets(got) == as_sorted_sets(want)
@@ -167,13 +167,6 @@ class TestCacheSemantics:
         _, stats = session.enumerate(3, 0.35, with_stats=True)
         assert stats.reused_filters == 1
         assert stats.seeded_peels == 1  # peel warm-started from k=2
-
-    def test_r_sweep_reuses_pairwise_values(self, two_triangles):
-        session = KRCoreSession(two_triangles)
-        session.enumerate(2, 0.3)
-        session.enumerate(2, 0.5)   # builds the pairwise layer
-        _, stats = session.enumerate(2, 0.7, with_stats=True)
-        assert stats.reused_indexes >= 1
 
     def test_identical_structure_shares_results_across_r(self, two_triangles):
         # All intra-triangle similarities are 1.0 and the bridge is 0.0:

@@ -81,6 +81,9 @@ class TestExecutionPlan:
         dict(split_depth=MAX_SPLIT_DEPTH + 1),
         dict(split_depth=1.5),
         dict(split_depth=True),
+        dict(workers="x"),
+        dict(workers=2.0),
+        dict(workers=True),
     ))
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(InvalidParameterError):
@@ -92,6 +95,10 @@ class TestExecutionPlan:
     def test_resolve_accepts_field_dict(self):
         plan = resolve_execution_plan(plan={"shm": True, "workers": 3})
         assert plan == ExecutionPlan(executor="shm", workers=3, shm=True)
+
+    def test_resolve_rejects_unknown_fields(self):
+        with pytest.raises(InvalidParameterError, match="split_depth"):
+            resolve_execution_plan(plan={"bogus": 1})
 
     def test_resolve_rejects_non_plan(self):
         with pytest.raises(InvalidParameterError):

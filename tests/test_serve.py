@@ -113,6 +113,18 @@ class TestServiceErrors:
             )
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("knob", (
+        {"plan": {"bogus": 1}},
+        {"plan": {"workers": "x"}},
+        # NaN compares False against every bound: a naive positivity
+        # check would run the query without a deadline.
+        {"time_limit": "nan"},
+    ))
+    def test_malformed_knob_400(self, service, knob):
+        with pytest.raises(ServiceError) as err:
+            service.handle("g", "enumerate", {"k": 2, "r": 0.3, **knob})
+        assert err.value.status == 400
+
     def test_invalid_k_maps_to_400(self, service):
         with pytest.raises(ServiceError) as err:
             service.handle("g", "enumerate", {"k": 0, "r": 0.3})

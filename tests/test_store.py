@@ -392,7 +392,7 @@ class TestCacheStats:
         s.enumerate(2, 0.3)
         stats = s.cache_stats()
         assert set(stats) >= {
-            "results", "pairwise", "edge_values", "filtered_graphs",
+            "results", "edge_values", "filtered_graphs",
             "survivor_sets", "prepared_components", "reused", "maintenance",
         }
         assert stats["results"]["size"] >= 1
