@@ -1,11 +1,13 @@
 """Microbenchmark: python (set-based) vs csr (array-native) kernels.
 
-Times the three hot preprocessing primitives on a synthetic random
-graph — k-core peeling, connected components, and full preprocessing
+Times the hot preprocessing primitives on a synthetic random graph —
+k-core peeling, connected components, and full preprocessing
 (`prepare_components`, i.e. dissimilar-edge deletion + peel + components
 + index) — once per backend, and reports the speedup.  This is the
 measurement behind the backend choice: the CSR kernels must not merely
-"feel" faster.
+"feel" faster.  The edge-filter row times the sort-free
+`CSRGraph.filter_edges` against the lexsort build it replaced
+(`CSRGraph.from_edges` on the kept edges), shown in the python column.
 
 Standalone script (no pytest-benchmark needed)::
 
@@ -14,7 +16,8 @@ Standalone script (no pytest-benchmark needed)::
 
 Full mode uses a ~50k-edge graph; smoke mode shrinks it so CI stays
 fast while still exercising every code path.  Exits non-zero if any
-backend pair disagrees on its result (the benchmark doubles as an
+backend pair disagrees on its result, or the filtered graph differs
+from the lexsort build in any array (the benchmark doubles as an
 equivalence check).
 """
 
@@ -24,6 +27,8 @@ import argparse
 import random
 import sys
 import time
+
+import numpy as np
 
 from _fixtures import BenchResult
 from repro.core.config import adv_enum_config
@@ -107,6 +112,23 @@ def main(argv=None) -> int:
     failures += comp_py != comp_csr
     rows.append(("components", t_py, t_csr))
 
+    # --- edge filter (Algorithm 1 line 1, one threshold) ----------------
+    t_map, _ = timed(csr._edge_id_map, repeat=1)
+    print(f"edge-id map (once per graph):      {t_map * 1e3:8.1f} ms")
+    keep = np.random.default_rng(0).random(csr.edge_count) < 0.7
+    eu, ev = csr.edge_array()
+    t_ref, ref = timed(
+        lambda: CSRGraph.from_edges(csr.vertex_count, eu[keep], ev[keep])
+    )
+    t_csr, got = timed(csr.filter_edges, keep)
+    failures += not (
+        np.array_equal(got.indptr, ref.indptr)
+        and np.array_equal(got.indices, ref.indices)
+        and got.indptr.dtype == ref.indptr.dtype
+        and got.indices.dtype == ref.indices.dtype
+    )
+    rows.append(("edge filter", t_ref, t_csr))
+
     # --- full preprocessing (Algorithm 1 lines 1-4) --------------------
     pred = SimilarityPredicate("jaccard", 0.2)
 
@@ -149,7 +171,7 @@ def main(argv=None) -> int:
                 "peel_speedup": peel_speedup,
                 "passed": not (failures or gate_failed),
             },
-            extras={"csr_construction_s": t_freeze},
+            extras={"csr_construction_s": t_freeze, "edge_id_map_s": t_map},
         )
         for name, t_py, t_csr in rows:
             slug = name.replace(" ", "-").replace("_", "-")
@@ -160,7 +182,7 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
 
     if failures:
-        print(f"FAIL: {failures} backend disagreement(s)")
+        print(f"FAIL: {failures} backend or edge-filter disagreement(s)")
         return 1
     if gate_failed:
         print(f"FAIL: k-core peel speedup {peel_speedup:.1f}x < 3x gate")

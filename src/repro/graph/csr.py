@@ -19,7 +19,11 @@ Python loops:
 * :func:`core_numbers` — level-by-level peeling that also yields a valid
   degeneracy order;
 * :func:`component_labels` — min-label propagation with pointer jumping
-  (Shiloach–Vishkin style), O(m log n) fully vectorised.
+  (Shiloach–Vishkin style), O(m log n) fully vectorised;
+* :meth:`CSRGraph.filter_edges` — sort-free edge deletion: one gather of
+  the keep mask through a cached directed-entry → edge-id map, one
+  compaction of ``indices`` and ``indptr`` read off a cumulative sum, so
+  a new similarity threshold costs O(m) with no re-sort.
 
 All kernels take and return flat arrays / boolean masks over vertex ids,
 so they compose without materialising Python sets; the dispatchers in
@@ -47,10 +51,13 @@ class CSRGraph:
 
     Attributes and labels ride along unchanged so the similarity layer
     can batch-extract attribute columns without touching the original
-    graph object.
+    graph object.  The constructor copies the attribute dict and label
+    list it is given; graphs derived from this one (:meth:`filter_edges`,
+    :func:`with_edge_added`, :func:`with_edge_removed`) share them by
+    reference, since nothing mutates them in place.
     """
 
-    __slots__ = ("indptr", "indices", "_attributes", "_labels", "_geo")
+    __slots__ = ("indptr", "indices", "_attributes", "_labels", "_geo", "_edge_ids")
 
     def __init__(
         self,
@@ -71,6 +78,19 @@ class CSRGraph:
         self._attributes: Dict[int, Any] = dict(attributes) if attributes else {}
         self._labels: Optional[List[str]] = list(labels) if labels else None
         self._geo: Optional[np.ndarray] = None
+        self._edge_ids: Optional[np.ndarray] = None
+
+    def _derive(self, indptr: np.ndarray, indices: np.ndarray) -> "CSRGraph":
+        """Graph over new int64 structure arrays that shares this graph's
+        attributes and labels by reference — no copy, no validation."""
+        out = CSRGraph.__new__(CSRGraph)
+        out.indptr = indptr
+        out.indices = indices
+        out._attributes = self._attributes
+        out._labels = self._labels
+        out._geo = None
+        out._edge_ids = None
+        return out
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -216,22 +236,45 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
+    def _edge_id_map(self) -> np.ndarray:
+        """Edge id of every directed CSR entry: ``indices[j]`` belongs to
+        edge ``_edge_id_map()[j]`` of :meth:`edge_array` order.
+
+        Upper entries (``u < v``) are numbered in CSR order already; the
+        lower entries, read in CSR order, are sorted by ``v`` then ``u``,
+        so one stable argsort on their column ids pairs them with their
+        twins.  Built once and cached (one int64 per directed entry).
+        """
+        if self._edge_ids is None:
+            src = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.degrees)
+            upper = src < self.indices
+            ids = np.arange(self.edge_count, dtype=np.int64)
+            eid = np.empty(self.indices.size, dtype=np.int64)
+            eid[upper] = ids
+            lower = np.nonzero(~upper)[0]
+            eid[lower[np.argsort(self.indices[lower], kind="stable")]] = ids
+            self._edge_ids = eid
+        return self._edge_ids
+
     def filter_edges(self, keep: np.ndarray) -> "CSRGraph":
         """New graph keeping only the edges selected by ``keep``.
 
-        ``keep`` is a boolean mask aligned with :meth:`edge_array`.
-        Attributes and labels are shared by reference.
+        ``keep`` is a boolean mask aligned with :meth:`edge_array`.  The
+        mask is gathered onto the directed entries through the cached
+        edge-id map and the kept entries are compacted in place order, so
+        rows stay sorted without a re-sort: the result is array-for-array
+        what :meth:`from_edges` builds from the kept edges.  Attributes
+        and labels are shared by reference.
         """
-        eu, ev = self.edge_array()
         keep = np.asarray(keep, dtype=bool)
-        if keep.shape != eu.shape:
+        if keep.shape != (self.edge_count,):
             raise GraphError(
-                f"edge mask has shape {keep.shape}, expected {eu.shape}"
+                f"edge mask has shape {keep.shape}, expected {(self.edge_count,)}"
             )
-        out = CSRGraph.from_edges(
-            self.vertex_count, eu[keep], ev[keep], self._attributes, self._labels
-        )
-        return out
+        kept = keep[self._edge_id_map()]
+        before = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=before[1:])
+        return self._derive(before[self.indptr], self.indices[kept])
 
     def __len__(self) -> int:
         return self.vertex_count
@@ -297,11 +340,12 @@ def with_edge_added(csr: CSRGraph, u: int, v: int) -> CSRGraph:
     indptr = csr.indptr.copy()
     indptr[u + 1:] += 1
     indptr[v + 1:] += 1
-    return CSRGraph(indptr, indices, csr._attributes, csr._labels)
+    return csr._derive(indptr, indices)
 
 
 def with_edge_removed(csr: CSRGraph, u: int, v: int) -> CSRGraph:
-    """New graph with undirected edge ``(u, v)`` spliced out — O(m) copy."""
+    """New graph with undirected edge ``(u, v)`` spliced out — O(m) copy.
+    Attributes and labels are shared by reference."""
     if not csr.has_edge(u, v):
         return csr
     pos_uv, pos_vu = _insert_positions(csr, u, v)
@@ -309,20 +353,22 @@ def with_edge_removed(csr: CSRGraph, u: int, v: int) -> CSRGraph:
     indptr = csr.indptr.copy()
     indptr[u + 1:] -= 1
     indptr[v + 1:] -= 1
-    return CSRGraph(indptr, indices, csr._attributes, csr._labels)
+    return csr._derive(indptr, indices)
 
 
 def with_attribute(csr: CSRGraph, u: int, value: Any) -> CSRGraph:
     """New graph sharing structure arrays with one attribute replaced.
 
-    The structural arrays are shared (not copied); only the attribute
-    dict is rebuilt, and the geo-point cache is dropped so distance
-    metrics see the fresh value.
+    The structural arrays and the edge-id map are shared (not copied);
+    only the attribute dict is rebuilt, and the geo-point cache is
+    dropped so distance metrics see the fresh value.
     """
     csr._check_vertex(u)
-    attributes = dict(csr._attributes)
-    attributes[u] = value
-    return CSRGraph(csr.indptr, csr.indices, attributes, csr._labels)
+    out = csr._derive(csr.indptr, csr.indices)
+    out._attributes = dict(csr._attributes)
+    out._attributes[u] = value
+    out._edge_ids = csr._edge_ids
+    return out
 
 
 def gather_neighbors(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
-from repro.similarity.index import edge_profile_similarities
+from repro.similarity.index import edge_profile_similarities, squared_edge_lengths
 from repro.similarity.metrics import (
     MetricKind,
     euclidean_distance,
@@ -87,6 +87,7 @@ class EdgeSimilarityCache:
         self._csr = csr
         eu, ev = csr.edge_array()
         self._eu, self._ev = eu, ev
+        self._keys = eu * csr.vertex_count + ev
         if eu.size == 0:
             self._base = np.zeros(0, dtype=bool)
             self._mode = "scalar"
@@ -104,16 +105,8 @@ class EdgeSimilarityCache:
             # Squared pairwise distances, exactly as the one-shot filter
             # computes them; thresholds re-use them with the same 1-ulp
             # borderline re-check through the scalar predicate.
-            needed = np.unique(np.concatenate([eu[live], ev[live]]))
-            pts = np.full((csr.vertex_count, 2), np.nan, dtype=np.float64)
-            for u in needed.tolist():
-                a = csr.attribute(u)
-                pts[u, 0] = a[0]
-                pts[u, 1] = a[1]
             self._mode = "euclid2"
-            self._values = (
-                (pts[eu, 0] - pts[ev, 0]) ** 2 + (pts[eu, 1] - pts[ev, 1]) ** 2
-            )
+            self._values = squared_edge_lengths(csr, eu, ev, self._base)
             return
         if (
             predicate.metric in (jaccard, weighted_jaccard)
@@ -235,27 +228,27 @@ class EdgeSimilarityCache:
         dirty_vertex: Optional[int],
     ) -> None:
         predicate = self._predicate
-        old_eu, old_ev = self._eu, self._ev
-        old_base, old_live = self._base, self._live
+        old_live = self._live
         old_values, old_mode = self._values, self._mode
+        key_old = self._keys
         self._csr = csr
         eu, ev = csr.edge_array()
+        n = csr.vertex_count
         self._eu, self._ev = eu, ev
+        # Encoded (u, v) keys are strictly increasing in edge_array order
+        # on both sides, so carried-over values resolve by searchsorted.
+        key_new = eu * n + ev
+        self._keys = key_new
         if eu.size == 0:
             self._base = np.zeros(0, dtype=bool)
             self._live = np.zeros(0, dtype=np.int64)
             self._values = np.zeros(0, dtype=np.float64)
             return
-        n = csr.vertex_count
         has = csr.attribute_mask()
         base = has[eu] & has[ev]
         self._base = base
         live = np.nonzero(base)[0]
         self._live = live
-        # Encoded (u, v) keys are strictly increasing in edge_array order
-        # on both sides, so carried-over values resolve by searchsorted.
-        key_new = eu * n + ev
-        key_old = old_eu * n + old_ev
         dirty = np.zeros(eu.size, dtype=bool)
         if dirty_vertex is not None:
             dirty |= (eu == dirty_vertex) | (ev == dirty_vertex)
@@ -275,12 +268,9 @@ class EdgeSimilarityCache:
                 values[carry] = old_values[pos_c[carry]]
             redo = np.nonzero(np.isnan(values) & base)[0]
             if redo.size:
-                pa = np.empty((redo.size, 2), dtype=np.float64)
-                pb = np.empty((redo.size, 2), dtype=np.float64)
-                for t, i in enumerate(redo.tolist()):
-                    pa[t] = csr.attribute(int(eu[i]))
-                    pb[t] = csr.attribute(int(ev[i]))
-                values[redo] = (pa[:, 0] - pb[:, 0]) ** 2 + (pa[:, 1] - pb[:, 1]) ** 2
+                values[redo] = squared_edge_lengths(
+                    csr, eu[redo], ev[redo], np.ones(redo.size, dtype=bool)
+                )
             self._values = values
             return
         # "sims" / "scalar": values aligned with the live edge list.
@@ -369,6 +359,7 @@ class EdgeSimilarityCache:
             cache._csr = graph
             eu, ev = graph.edge_array()
             cache._eu, cache._ev = eu, ev
+            cache._keys = eu * graph.vertex_count + ev
             if eu.size == 0:
                 cache._base = np.zeros(0, dtype=bool)
                 cache._live = np.zeros(0, dtype=np.int64)
@@ -417,7 +408,7 @@ class EdgeSimilarityCache:
         out: List[bool] = []
         if self._backend == "csr":
             n = self._csr.vertex_count
-            key = self._eu * n + self._ev
+            key = self._keys
             for a, b in pairs:
                 u, v = (a, b) if a < b else (b, a)
                 pk = u * n + v

@@ -395,17 +395,7 @@ def remove_dissimilar_edges_csr(
     has = csr.attribute_mask()
     keep = has[eu] & has[ev]
     if predicate.metric is euclidean_distance and predicate.kind is MetricKind.DISTANCE:
-        # Attribute columns only for edge endpoints — the set-based path
-        # never reads non-endpoint attributes either, so a malformed
-        # attribute on an isolated vertex cannot crash this backend only.
-        live = np.nonzero(keep)[0]
-        needed = np.unique(np.concatenate([eu[live], ev[live]]))
-        pts = np.full((csr.vertex_count, 2), np.nan, dtype=np.float64)
-        for u in needed.tolist():
-            a = csr.attribute(u)
-            pts[u, 0] = a[0]
-            pts[u, 1] = a[1]
-        d2 = (pts[eu, 0] - pts[ev, 0]) ** 2 + (pts[eu, 1] - pts[ev, 1]) ** 2
+        d2 = squared_edge_lengths(csr, eu, ev, keep)
         r2 = predicate.r * predicate.r
         # Squared distances decide all but a ~1-ulp band around the
         # threshold; borderline edges re-check through the scalar
@@ -431,6 +421,29 @@ def remove_dissimilar_edges_csr(
             csr.attribute(int(eu[i])), csr.attribute(int(ev[i]))
         )
     return csr.filter_edges(keep)
+
+
+def squared_edge_lengths(
+    csr: CSRGraph, eu: np.ndarray, ev: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """Squared planar length of every edge ``(eu[i], ev[i])``.
+
+    ``live`` is the boolean mask of the edges whose endpoints both carry
+    an attribute; the other edges come back NaN.  Point attributes are
+    read straight from the attribute dict, and only for endpoints of
+    ``live`` edges — the set-based path never reads non-endpoint
+    attributes either, so a malformed attribute on an isolated vertex
+    cannot crash this backend only.
+    """
+    ends = np.zeros(csr.vertex_count, dtype=bool)
+    ends[eu[live]] = True
+    ends[ev[live]] = True
+    ids = np.nonzero(ends)[0]
+    points = [csr._attributes[u] for u in ids.tolist()]
+    pts = np.full((csr.vertex_count, 2), np.nan, dtype=np.float64)
+    pts[ids, 0] = np.fromiter((p[0] for p in points), np.float64, count=ids.size)
+    pts[ids, 1] = np.fromiter((p[1] for p in points), np.float64, count=ids.size)
+    return (pts[eu, 0] - pts[ev, 0]) ** 2 + (pts[eu, 1] - pts[ev, 1]) ** 2
 
 
 def _edge_profile_keep(

@@ -2,8 +2,10 @@
 
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from conftest import make_geo_graph, make_random_attr_graph
 from repro.exceptions import GraphError, InvalidParameterError
@@ -16,6 +18,9 @@ from repro.graph.csr import (
     core_numbers,
     gather_neighbors,
     k_core_mask,
+    with_attribute,
+    with_edge_added,
+    with_edge_removed,
 )
 from repro.graph.kcore import core_decomposition, k_core_vertices
 from repro.similarity.index import remove_dissimilar_edges, remove_dissimilar_edges_csr
@@ -156,6 +161,135 @@ class TestFilterEdges:
         assert pts.shape == (3, 2)
         assert pts[0].tolist() == [1.0, 2.0]
         assert np.isnan(pts[2]).all()
+
+
+def _assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
+    assert got.indptr.dtype == want.indptr.dtype == np.int64
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+def _lexsort_reference(csr: CSRGraph, keep: np.ndarray) -> CSRGraph:
+    eu, ev = csr.edge_array()
+    return CSRGraph.from_edges(csr.vertex_count, eu[keep], ev[keep])
+
+
+@st.composite
+def _csr_and_mask(draw, max_n=14):
+    """A random graph, optionally put through one derive step, plus a
+    keep mask (all-true, all-false or random) over its edges."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), unique=True, max_size=len(possible))
+    ) if possible else []
+    csr = CSRGraph.from_attributed(AttributedGraph(n, edges=edges))
+    step = draw(st.sampled_from(["none", "add", "remove", "attribute"]))
+    if step == "add" and len(edges) < len(possible):
+        csr._edge_id_map()  # a structural edit must not carry it over
+        missing = sorted(set(possible) - set(edges))
+        csr = with_edge_added(csr, *draw(st.sampled_from(missing)))
+        assert csr._edge_ids is None
+    elif step == "remove" and edges:
+        csr._edge_id_map()
+        csr = with_edge_removed(csr, *draw(st.sampled_from(sorted(edges))))
+        assert csr._edge_ids is None
+    elif step == "attribute" and n:
+        csr = with_attribute(csr, draw(st.integers(0, n - 1)), (0.0, 0.0))
+    kind = draw(st.sampled_from(["all", "none", "random"]))
+    m = csr.edge_count
+    if kind == "all":
+        keep = np.ones(m, dtype=bool)
+    elif kind == "none":
+        keep = np.zeros(m, dtype=bool)
+    else:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    return csr, keep
+
+
+class TestSortFreeFilter:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_csr_and_mask())
+    def test_matches_lexsort_build(self, case):
+        csr, keep = case
+        _assert_same_csr(csr.filter_edges(keep), _lexsort_reference(csr, keep))
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_edgeless_graphs(self, n):
+        csr = CSRGraph.from_attributed(AttributedGraph(n))
+        out = csr.filter_edges(np.zeros(0, dtype=bool))
+        _assert_same_csr(out, _lexsort_reference(csr, np.zeros(0, dtype=bool)))
+        assert out.vertex_count == n and out.edge_count == 0
+
+    def test_isolated_vertices_and_filtered_chain(self):
+        g = make_geo_graph(3, n=20, p=0.3)
+        for u in (4, 9, 17):
+            for w in list(g.neighbors(u)):
+                g.remove_edge(u, w)
+        csr = CSRGraph.from_attributed(g)
+        rng = np.random.default_rng(3)
+        keep = rng.random(csr.edge_count) < 0.6
+        once = csr.filter_edges(keep)
+        _assert_same_csr(once, _lexsort_reference(csr, keep))
+        again = rng.random(once.edge_count) < 0.5
+        _assert_same_csr(once.filter_edges(again), _lexsort_reference(once, again))
+
+    def test_edge_id_map_pairs_both_directions(self):
+        csr = CSRGraph.from_attributed(make_random_attr_graph(5, n=15, p=0.4))
+        eu, ev = csr.edge_array()
+        eid = csr._edge_id_map()
+        src = np.repeat(np.arange(csr.vertex_count), csr.degrees)
+        lo = np.minimum(src, csr.indices)
+        hi = np.maximum(src, csr.indices)
+        assert np.array_equal(eu[eid], lo) and np.array_equal(ev[eid], hi)
+        assert np.bincount(eid, minlength=csr.edge_count).tolist() == [2] * csr.edge_count
+
+    def test_with_attribute_keeps_edge_id_map(self):
+        csr = CSRGraph.from_attributed(make_geo_graph(1))
+        eid = csr._edge_id_map()
+        assert with_attribute(csr, 0, (1.0, 1.0))._edge_ids is eid
+
+
+class TestSharedAttributes:
+    def _graph(self):
+        g = make_geo_graph(2, n=10, p=0.6)
+        g._labels = [f"v{u}" for u in range(10)]
+        return CSRGraph.from_attributed(g)
+
+    def test_derived_graphs_share_attributes_and_labels(self):
+        csr = self._graph()
+        eu, ev = csr.edge_array()
+        u, v = next((a, b) for a in range(10) for b in range(a + 1, 10)
+                    if not csr.has_edge(a, b))
+        derived = [
+            csr.filter_edges(np.ones(csr.edge_count, dtype=bool)),
+            with_edge_added(csr, u, v),
+            with_edge_removed(csr, int(eu[0]), int(ev[0])),
+        ]
+        for out in derived:
+            assert out._attributes is csr._attributes
+            assert out._labels is csr._labels
+
+    def test_with_attribute_copies_only_the_dict(self):
+        csr = self._graph()
+        out = with_attribute(csr, 3, (9.0, 9.0))
+        assert out._attributes is not csr._attributes
+        assert csr.attribute(3) != (9.0, 9.0) and out.attribute(3) == (9.0, 9.0)
+        assert out._labels is csr._labels
+        assert out.indices is csr.indices
+
+    def test_constructor_copies_caller_dicts(self):
+        attrs = {0: (1.0, 2.0)}
+        labels = ["a", "b"]
+        csr = CSRGraph(np.array([0, 1, 2]), np.array([1, 0]), attrs, labels)
+        attrs[1] = (5.0, 5.0)
+        attrs[0] = (0.0, 0.0)
+        labels[0] = "z"
+        assert csr.attribute(0) == (1.0, 2.0)
+        assert not csr.has_attribute(1)
+        assert csr.label(0) == "a"
 
 
 class TestKernels:
