@@ -8,6 +8,12 @@ measurement behind the backend choice: the CSR kernels must not merely
 "feel" faster.  The edge-filter row times the sort-free
 `CSRGraph.filter_edges` against the lexsort build it replaced
 (`CSRGraph.from_edges` on the kept edges), shown in the python column.
+The batched-preparation row times the csr session's one-pass preparation
+(`component_arrays`) on a geo-social graph against the per-component
+stage functions it replaced (`component_sets` + `component_adjacency` +
+`component_index` + `component_edges_key_csr` + `max_component_degree`),
+also shown in the python column, and checks they agree component for
+component.
 
 Standalone script (no pytest-benchmark needed)::
 
@@ -16,9 +22,10 @@ Standalone script (no pytest-benchmark needed)::
 
 Full mode uses a ~50k-edge graph; smoke mode shrinks it so CI stays
 fast while still exercising every code path.  Exits non-zero if any
-backend pair disagrees on its result, or the filtered graph differs
-from the lexsort build in any array (the benchmark doubles as an
-equivalence check).
+backend pair disagrees on its result, the filtered graph differs
+from the lexsort build in any array, or the batched preparation differs
+from the per-component stages in any signature, order, degree,
+adjacency or index (the benchmark doubles as an equivalence check).
 """
 
 from __future__ import annotations
@@ -34,11 +41,22 @@ from _fixtures import BenchResult
 from repro.core.config import adv_enum_config
 from repro.core.context import Budget
 from repro.core.session import prepare_components
+from repro.core.solver import (
+    component_adjacency,
+    component_arrays,
+    component_edges_key_csr,
+    component_index,
+    component_sets,
+    kcore_survivors,
+    max_component_degree,
+)
 from repro.core.stats import SearchStats
+from repro.datasets.geosocial import geosocial_network
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.components import connected_components
 from repro.graph.kcore import k_core_vertices
+from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.threshold import SimilarityPredicate
 
 VOCAB = [f"w{i}" for i in range(40)]
@@ -86,8 +104,10 @@ def main(argv=None) -> int:
 
     if args.smoke:
         n, m, k = 400, 2_000, 3
+        geo_n = 3_000
     else:
         n, m, k = 10_000, 50_000, 3
+        geo_n = 30_000
     if args.edges is not None:
         m = args.edges
         n = max(10, m // 5)
@@ -144,6 +164,52 @@ def main(argv=None) -> int:
         [sorted(c.vertices) for c in ctx_csr]
     rows.append(("prepare_components", t_py, t_csr))
 
+    # --- batched component preparation (Algorithm 1 line 4) ------------
+    geo = CSRGraph.from_attributed(geosocial_network(geo_n, seed=1))
+    gpred = SimilarityPredicate("euclidean", 4.9)
+    filtered = EdgeSimilarityCache(
+        geo, gpred, backend="csr"
+    ).filtered_at(gpred.r)
+    alive = kcore_survivors(filtered, 4, "csr")
+
+    def per_component():
+        out = []
+        for comp in component_sets(filtered, alive, "csr"):
+            adj = component_adjacency(filtered, comp, alive, "csr")
+            index = component_index(geo, gpred, comp, "csr")
+            vertices = frozenset(comp)
+            signature = (
+                vertices,
+                component_edges_key_csr(comp, filtered, alive),
+                index.pair_key(),
+            )
+            out.append((signature, max_component_degree(adj), adj, index))
+        return out
+
+    def batched():
+        out = []
+        for arrays in component_arrays(geo, gpred, filtered, alive):
+            vertices = frozenset(arrays.verts.tolist())
+            signature = (vertices, arrays.edges_key, arrays.pair_key())
+            out.append((signature, arrays.max_degree, arrays))
+        return out
+
+    t_ref, ref = timed(per_component)
+    t_csr, got = timed(batched)
+    same = len(ref) == len(got) and all(
+        want[:2] == have[:2]
+        and have[2].adj == want[2]
+        and have[2].index.rows() == want[3].rows()
+        for want, have in zip(ref, got)
+    )
+    failures += not same
+    print(
+        f"batched preparation equivalence {'ok' if same else 'FAILED'}: "
+        f"{len(got)} components, per-component {t_ref * 1e3:.1f} ms, "
+        f"batched {t_csr * 1e3:.1f} ms"
+    )
+    rows.append(("batched preparation", t_ref, t_csr))
+
     print(f"{'kernel':>20} {'python':>10} {'csr':>10} {'speedup':>9}")
     peel_speedup = None
     json_rows = []
@@ -164,7 +230,7 @@ def main(argv=None) -> int:
         result = BenchResult(
             benchmark="backend_kernels",
             mode="smoke" if args.smoke else "full",
-            workload={"vertices": n, "edges": m, "k": k},
+            workload={"vertices": n, "edges": m, "k": k, "geo_vertices": geo_n},
             rows=json_rows,
             gates={
                 "peel_speedup_min": None if args.smoke else 3.0,
@@ -182,7 +248,10 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
 
     if failures:
-        print(f"FAIL: {failures} backend or edge-filter disagreement(s)")
+        print(
+            f"FAIL: {failures} backend, edge-filter or preparation "
+            "disagreement(s)"
+        )
         return 1
     if gate_failed:
         print(f"FAIL: k-core peel speedup {peel_speedup:.1f}x < 3x gate")

@@ -51,6 +51,19 @@ def mask_from_indices(indices: np.ndarray, words: int) -> np.ndarray:
     return out
 
 
+def set_row_bits(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Add local id ``j[x]`` to mask row ``i[x]`` of ``rows``, for every ``x``."""
+    if i.size:
+        col = j.astype(np.uint64, copy=False)
+        np.bitwise_or.at(rows, (i, col >> _SIX), _ONE << (col & _SIXTY_THREE))
+
+
+def clear_diagonal(rows: np.ndarray) -> None:
+    """Remove local id ``i`` from mask row ``i``, for every row, in place."""
+    i = np.arange(rows.shape[0], dtype=np.uint64)
+    rows[i, i >> _SIX] &= ~(_ONE << (i & _SIXTY_THREE))
+
+
 def set_bit(mask: np.ndarray, i: int) -> None:
     """Add local id ``i`` to ``mask`` in place."""
     mask[i >> 6] |= _ONE << np.uint64(i & 63)

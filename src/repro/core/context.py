@@ -14,6 +14,11 @@ kernels (see :mod:`repro.core.bitops`).  It is built lazily once per
 component via :func:`bitset_context` and cached — on the
 :class:`ComponentContext` for one-shot solves and on the session's
 prepared components across queries.
+
+:class:`ComponentArrays` is the csr backend's prepared form of a
+component: local-id edge and dissimilar-pair arrays from which the
+bitset context packs directly, with the dict ``adj`` and index built
+only when something asks for them.
 """
 
 from __future__ import annotations
@@ -69,18 +74,23 @@ class ComponentContext:
         Optional :class:`~repro.graph.csr.CSRGraph` of the *filtered*
         graph the component was cut from (set by the CSR backend; the
         engines themselves only consume ``adj``).
+    arrays:
+        Optional :class:`ComponentArrays` the component was prepared as
+        (csr backend).  When given, ``adj`` and ``index`` may be passed
+        as ``None``: they are read from ``arrays`` — built there on first
+        use and cached — so a bitset-only search never builds them.
     """
 
     __slots__ = (
-        "vertices", "adj", "index", "k", "config", "stats", "budget", "rng",
-        "csr", "bitset",
+        "vertices", "_adj", "_index", "k", "config", "stats", "budget",
+        "rng", "csr", "bitset", "arrays",
     )
 
     def __init__(
         self,
         vertices: FrozenSet[int],
-        adj: Dict[int, Set[int]],
-        index: DissimilarityIndex,
+        adj: Optional[Dict[int, Set[int]]],
+        index: Optional[DissimilarityIndex],
         k: int,
         config: SearchConfig,
         stats: SearchStats,
@@ -88,10 +98,11 @@ class ComponentContext:
         rng,
         csr=None,
         bitset: Optional["BitsetComponentContext"] = None,
+        arrays: Optional["ComponentArrays"] = None,
     ):
         self.vertices = vertices
-        self.adj = adj
-        self.index = index
+        self._adj = adj
+        self._index = index
         self.k = k
         self.config = config
         self.stats = stats
@@ -99,6 +110,19 @@ class ComponentContext:
         self.rng = rng
         self.csr = csr
         self.bitset = bitset
+        self.arrays = arrays
+
+    @property
+    def adj(self) -> Dict[int, Set[int]]:
+        if self._adj is None:
+            self._adj = self.arrays.adj
+        return self._adj
+
+    @property
+    def index(self) -> DissimilarityIndex:
+        if self._index is None:
+            self._index = self.arrays.index
+        return self._index
 
     def enter_node(self) -> None:
         """Account one search-tree node against stats and budget."""
@@ -190,6 +214,34 @@ class BitsetComponentContext:
         self._adopt_rows(nbr, dis)
 
     @classmethod
+    def from_arrays(
+        cls,
+        verts: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+    ) -> "BitsetComponentContext":
+        """Pack from local-id arrays, with no per-vertex Python loop.
+
+        ``verts`` are the sorted original ids; ``(src, dst)`` lists every
+        similar edge in both directions and ``(pair_i, pair_j)`` every
+        dissimilar pair once, all over local ids (positions in
+        ``verts``).  The result is array-for-array the context
+        ``__init__`` packs from the equivalent ``adj`` and ``index``.
+        """
+        self = cls.__new__(cls)
+        self._layout(np.asarray(verts, dtype=np.int64))
+        shape = (self.n, self.words)
+        nbr = np.zeros(shape, dtype=np.uint64)
+        dis = np.zeros(shape, dtype=np.uint64)
+        bitops.set_row_bits(nbr, src, dst)
+        bitops.set_row_bits(dis, pair_i, pair_j)
+        bitops.set_row_bits(dis, pair_j, pair_i)
+        self._adopt_rows(nbr, dis)
+        return self
+
+    @classmethod
     def from_packed(
         cls,
         verts: np.ndarray,
@@ -225,8 +277,7 @@ class BitsetComponentContext:
         self.nbr = nbr
         self.dis = dis
         sim = (~dis) & self.full
-        for i in range(self.n):
-            sim[i, i >> 6] &= ~(np.uint64(1) << np.uint64(i & 63))
+        bitops.clear_diagonal(sim)
         self.sim = sim
 
     def scratch(self, row: int) -> np.ndarray:
@@ -260,10 +311,114 @@ class BitsetComponentContext:
         return self.verts[bitops.members(mask)].tolist()
 
 
+class ComponentArrays:
+    """One prepared component as flat arrays over component-local ids.
+
+    The csr backend's batched preparation
+    (:func:`repro.core.solver.component_arrays`) cuts every component of
+    a ``(k, r)`` point into one of these from a few whole-point array
+    passes.  The bitset engine packs straight from the arrays
+    (:meth:`pack`); the dict forms that the set engines, the process
+    executor and the warm-start heuristic read (:attr:`adj`,
+    :attr:`index`) are built on first access and cached, so a component
+    no query searches never builds them.
+
+    Attributes
+    ----------
+    verts:
+        Sorted original vertex ids; local id ``i`` is ``verts[i]``.
+    src, dst:
+        Every similar edge in both directions, sorted by ``(src, dst)``.
+    pair_i, pair_j:
+        Every dissimilar pair once (``pair_i < pair_j``), sorted.
+    edges_key:
+        Canonical bytes of the similar-edge set, as
+        :func:`~repro.core.solver.component_edges_key_csr` cuts them.
+    max_degree:
+        Largest in-component similar-edge degree.
+    """
+
+    __slots__ = (
+        "verts", "src", "dst", "pair_i", "pair_j", "edges_key",
+        "max_degree", "_adj", "_index",
+    )
+
+    def __init__(
+        self,
+        verts: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+        edges_key: bytes,
+        max_degree: int,
+        index: Optional[DissimilarityIndex] = None,
+    ):
+        self.verts = verts
+        self.src = src
+        self.dst = dst
+        self.pair_i = pair_i
+        self.pair_j = pair_j
+        self.edges_key = edges_key
+        self.max_degree = max_degree
+        self._adj: Optional[Dict[int, Set[int]]] = None
+        self._index = index
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the dict ``adj`` or ``index`` exists yet."""
+        return self._adj is not None or self._index is not None
+
+    @property
+    def adj(self) -> Dict[int, Set[int]]:
+        """``u -> similar neighbours of u`` (built once, on first use)."""
+        if self._adj is None:
+            self._adj = self._rows(self.src, self.dst)
+        return self._adj
+
+    @property
+    def index(self) -> DissimilarityIndex:
+        """The component's dissimilarity index (built once, on first use)."""
+        if self._index is None:
+            i = np.concatenate((self.pair_i, self.pair_j))
+            j = np.concatenate((self.pair_j, self.pair_i))
+            order = np.lexsort((j, i))
+            self._index = DissimilarityIndex(self._rows(i[order], j[order]))
+        return self._index
+
+    def _rows(self, i: np.ndarray, j: np.ndarray) -> Dict[int, Set[int]]:
+        verts = self.verts
+        rows: Dict[int, Set[int]] = {u: set() for u in verts.tolist()}
+        for u, v in zip(verts[i].tolist(), verts[j].tolist()):
+            rows[u].add(v)
+        return rows
+
+    def pair_key(self) -> FrozenSet:
+        """The dissimilar-pair set, as
+        :meth:`~repro.similarity.index.DissimilarityIndex.pair_key` gives it."""
+        if not self.pair_i.size:
+            return frozenset()
+        verts = self.verts
+        return frozenset(
+            zip(verts[self.pair_i].tolist(), verts[self.pair_j].tolist())
+        )
+
+    def pack(self) -> BitsetComponentContext:
+        """The packed bitset form, straight from the arrays."""
+        return BitsetComponentContext.from_arrays(
+            self.verts, self.src, self.dst, self.pair_i, self.pair_j
+        )
+
+
 def bitset_context(ctx: ComponentContext) -> BitsetComponentContext:
     """The (lazily built, cached) packed form of ``ctx``'s component."""
     if ctx.bitset is None:
-        ctx.bitset = BitsetComponentContext(ctx.vertices, ctx.adj, ctx.index)
+        if ctx.arrays is not None:
+            ctx.bitset = ctx.arrays.pack()
+        else:
+            ctx.bitset = BitsetComponentContext(
+                ctx.vertices, ctx.adj, ctx.index
+            )
     return ctx.bitset
 
 

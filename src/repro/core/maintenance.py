@@ -26,8 +26,10 @@ with work proportional to the *affected region* of a single edit:
 3. **component patch** — only prepared components containing a touched
    vertex are rebuilt (merge on insert, split on delete), discovered by
    a seeded BFS (:func:`~repro.graph.components.local_components`)
-   rather than a full re-split; untouched components keep their objects,
-   signatures, and packed bitsets.
+   rather than a full re-split, and re-prepared through the session's
+   own preparation path (one batched pass on the csr backend);
+   untouched components keep their objects, signatures, and packed
+   bitsets.
 4. **surgical eviction** — cached per-component results are evicted only
    when their component signature (the exact engine inputs) disappeared;
    an edit merging two components evicts the entries of *both*
@@ -277,12 +279,14 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         predicate = session._predicates.get((mkey, r))
         if predicate is None:
             return False
-        new_parts = [
-            session._prepared_component(
-                predicate, backend, filtered, survivors, comp
-            )
-            for comp in comps
-        ]
+        # The rebuilt components are closed in the k-core, so splitting
+        # just their vertices reproduces them exactly.
+        rebuilt = set().union(*comps)
+        if backend == "csr":
+            rebuilt = _csr.vertex_mask(filtered, rebuilt)
+        new_parts = session._prepared_parts(
+            predicate, backend, filtered, rebuilt
+        )
 
         old_sigs = {p.signature for p in affected}
         dead_sigs = old_sigs - {p.signature for p in new_parts}

@@ -14,9 +14,12 @@ graph once and serves repeated queries against layered caches:
 * **survivor layer** — k-core peels are cached per ``(metric, r)`` and
   warm-started from the largest cached smaller ``k`` (the k-core is
   monotone, so seeding is lossless); each ``(metric, r, k)`` point's
-  components, with their adjacency and the dissimilarity index built
-  from the filtered component (Algorithm 1 lines 1–4), are cached with
-  them, so repeating a point skips preprocessing entirely;
+  components, with their similar edges and dissimilar pairs (Algorithm 1
+  lines 1–4), are cached with them, so repeating a point skips
+  preprocessing entirely.  On the csr backend one batched pass
+  (:func:`~repro.core.solver.component_arrays`) prepares every component
+  of a point as arrays; the dict adjacency and index are built only for
+  components something reads them from;
 * **result layer** — per-component solver results are cached under a
   sound component signature (vertex set, similar-edge set,
   dissimilar-pair set: exactly the engines' inputs), so repeating a
@@ -59,7 +62,7 @@ from repro.core.config import (
     resolve_execution_plan,
     resolve_max_config,
 )
-from repro.core.context import Budget, ComponentContext
+from repro.core.context import Budget, ComponentArrays, ComponentContext
 from repro.core.executor import (
     component_sort_key,
     component_task,
@@ -79,8 +82,8 @@ from repro.core.results import (
 )
 from repro.core.solver import (
     component_adjacency,
+    component_arrays,
     component_edges_key,
-    component_edges_key_csr,
     component_index,
     component_sets,
     freeze_graph,
@@ -144,25 +147,51 @@ def prepare_components(
 class _PreparedComponent:
     """One component's cached preprocessing output (query-independent).
 
-    ``bitset`` caches the packed
+    On the csr backend the component is held as
+    :class:`~repro.core.context.ComponentArrays`: ``adj`` and ``index``
+    are read from there, built on first use.  The python backend holds
+    them built.  ``bitset`` caches the packed
     :class:`~repro.core.context.BitsetComponentContext` the bitset
     engines build on first use, so repeated queries (and sweep points
     sharing a component) skip the packing pass.
     """
 
     __slots__ = (
-        "vertices", "adj", "index", "signature", "max_degree", "csr",
-        "bitset",
+        "vertices", "signature", "max_degree", "csr", "bitset", "arrays",
+        "_adj", "_index",
     )
 
-    def __init__(self, vertices, adj, index, signature, max_degree, csr):
+    def __init__(
+        self, vertices, signature, max_degree, csr,
+        adj=None, index=None, arrays=None,
+    ):
         self.vertices = vertices
-        self.adj = adj
-        self.index = index
         self.signature = signature
         self.max_degree = max_degree
         self.csr = csr
         self.bitset = None
+        self.arrays = arrays
+        self._adj = adj
+        self._index = index
+
+    @classmethod
+    def from_arrays(cls, arrays: ComponentArrays, csr) -> "_PreparedComponent":
+        vertices = frozenset(arrays.verts.tolist())
+        return cls(
+            vertices=vertices,
+            signature=(vertices, arrays.edges_key, arrays.pair_key()),
+            max_degree=arrays.max_degree,
+            csr=csr,
+            arrays=arrays,
+        )
+
+    @property
+    def adj(self):
+        return self._adj if self.arrays is None else self.arrays.adj
+
+    @property
+    def index(self):
+        return self._index if self.arrays is None else self.arrays.index
 
 
 class KRCoreSession:
@@ -1195,8 +1224,8 @@ class KRCoreSession:
     ) -> ComponentContext:
         return ComponentContext(
             vertices=part.vertices,
-            adj=part.adj,
-            index=part.index,
+            adj=part._adj,
+            index=part._index,
             k=k,
             config=cfg,
             stats=stats,
@@ -1204,6 +1233,7 @@ class KRCoreSession:
             rng=random.Random(cfg.seed),
             csr=part.csr,
             bitset=part.bitset,
+            arrays=part.arrays,
         )
 
     # ------------------------------------------------------------------
@@ -1232,43 +1262,53 @@ class KRCoreSession:
         survivors = self._survivor_set(
             mkey, predicate, backend, filtered, k, stats
         )
-        parts = [
-            self._prepared_component(predicate, backend, filtered, survivors, comp)
-            for comp in component_sets(filtered, survivors, backend)
-        ]
+        parts = self._prepared_parts(predicate, backend, filtered, survivors)
         parts.sort(key=lambda part: -part.max_degree)  # stable: ties keep order
         self._prepared[pkey] = parts
         stats.components = len(parts)
         return parts
 
-    def _prepared_component(
+    def _prepared_parts(
         self,
         predicate: SimilarityPredicate,
         backend: str,
         filtered,
         survivors,
-        comp: Set[int],
-    ) -> _PreparedComponent:
-        """Algorithm 1 lines 3–4 for one component of the filtered k-core.
+    ) -> List[_PreparedComponent]:
+        """Algorithm 1 line 4 and per-component preparation, in canonical
+        component order.
 
-        Shared with the maintenance layer, which rebuilds only the
-        components an edit touched.
+        ``survivors`` is the filtered k-core, or a closed region of it:
+        the maintenance layer passes the components an edit touched, so
+        the session and maintenance share this one preparation path.
+        The csr backend prepares every component from one batched array
+        pass (:func:`~repro.core.solver.component_arrays`); the python
+        backend runs the per-component set stages.
         """
-        adj = component_adjacency(filtered, comp, survivors, backend)
-        index = component_index(self._substrate(backend), predicate, comp, backend)
+        substrate = self._substrate(backend)
         if backend == "csr":
-            edges_key = component_edges_key_csr(comp, filtered, survivors)
-        else:
-            edges_key = component_edges_key(adj)
-        vertices = frozenset(comp)
-        return _PreparedComponent(
-            vertices=vertices,
-            adj=adj,
-            index=index,
-            signature=(vertices, edges_key, index.pair_key()),
-            max_degree=max_component_degree(adj),
-            csr=filtered if backend == "csr" else None,
-        )
+            return [
+                _PreparedComponent.from_arrays(arrays, filtered)
+                for arrays in component_arrays(
+                    substrate, predicate, filtered, survivors
+                )
+            ]
+        parts = []
+        for comp in component_sets(filtered, survivors, backend):
+            adj = component_adjacency(filtered, comp, survivors, backend)
+            index = component_index(substrate, predicate, comp, backend)
+            vertices = frozenset(comp)
+            parts.append(_PreparedComponent(
+                vertices=vertices,
+                signature=(
+                    vertices, component_edges_key(adj), index.pair_key()
+                ),
+                max_degree=max_component_degree(adj),
+                csr=None,
+                adj=adj,
+                index=index,
+            ))
+        return parts
 
     # ------------------------------------------------------------------
     # Bounded cross-edit caches (LRU over dict insertion order)

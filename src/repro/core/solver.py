@@ -7,11 +7,17 @@ between the stages:
 
 * :func:`freeze_graph`        — CSR build (csr backend substrate);
 * :func:`kcore_survivors`     — k-core peel (optionally warm-started);
+* :func:`component_arrays`    — csr backend: component split and every
+  component's similar edges, dissimilar pairs, degrees and signature
+  parts, cut from a few array passes over the whole ``(k, r)`` point;
 * :func:`component_sets`      — connected-component split;
 * :func:`component_adjacency` — per-component similar-edge adjacency;
 * :func:`component_index`     — per-component dissimilarity index.
 
-Dissimilar-edge deletion lives in
+The session prepares csr-backend points through
+:func:`component_arrays` alone; the python backend composes the three
+per-component stages, and stays the set-based reference the batched
+path is tested against.  Dissimilar-edge deletion lives in
 :class:`~repro.similarity.cache.EdgeSimilarityCache` (per-edge metric
 values computed once, thresholds re-compared).
 
@@ -27,13 +33,14 @@ work-sharing variant for one component (``split_depth > 0``).
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Union
 
 import numpy as np
 
 from repro.core.clique_based import clique_based_component
-from repro.core.context import ComponentContext
+from repro.core.context import ComponentArrays, ComponentContext
 from repro.core.enumerate import enumerate_component
 from repro.core.executor import (
     MAXIMUM_BATCH,
@@ -50,12 +57,19 @@ from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.components import connected_components
 from repro.graph.csr import (
     CSRGraph,
+    component_order,
     component_vertex_groups,
     gather_neighbors,
+    induced_entries,
     k_core_mask,
 )
 from repro.graph.kcore import k_core_vertices
-from repro.similarity.index import build_index
+from repro.similarity.index import (
+    build_index,
+    euclidean_dissimilar_pairs,
+    point_column,
+)
+from repro.similarity.metrics import euclidean_distance
 from repro.similarity.threshold import SimilarityPredicate
 
 ComponentFn = Callable[[ComponentContext], List[FrozenSet[int]]]
@@ -192,6 +206,90 @@ def max_component_degree(adj: Dict[int, Set[int]]) -> int:
     return max((len(nbrs) for nbrs in adj.values()), default=0)
 
 
+def component_arrays(
+    graph: CSRGraph,
+    predicate: SimilarityPredicate,
+    filtered: CSRGraph,
+    survivors: np.ndarray,
+) -> List[ComponentArrays]:
+    """Algorithm 1 line 4 plus every component's preparation, batched.
+
+    The csr backend's one preparation pass per ``(k, r)`` point: the
+    survivors are labelled and sorted by component once
+    (:func:`~repro.graph.csr.component_order`), one gather over their
+    rows yields every component's similar edges and degrees, and one
+    all-pairs array pass
+    (:func:`~repro.similarity.index.euclidean_dissimilar_pairs`) yields
+    every component's dissimilar pairs.  Metrics without an array kernel
+    fill the same pair arrays from :func:`component_index`, one
+    component at a time.
+
+    Components come in :func:`component_sets` order, and each
+    :class:`~repro.core.context.ComponentArrays` holds, as arrays, what
+    :func:`component_adjacency`, :func:`component_index`,
+    :func:`component_edges_key_csr` and :func:`max_component_degree`
+    give for it.  ``graph`` is the attribute source (as for
+    :func:`component_index`); ``survivors`` masks the vertices to split
+    — the k-core, or a closed region of it.
+    """
+    verts, starts = component_order(filtered, survivors)
+    if verts.size == 0:
+        return []
+    first = np.repeat(starts[:-1], np.diff(starts))  # component start
+    # Similar edges: the survivors' edges to survivors, which stay inside
+    # a component.  Positions sort by component, then id, so the entries
+    # come out grouped by component and sorted by (src, dst) within it.
+    src, dst = induced_entries(filtered, verts)
+    max_degree = np.maximum.reduceat(
+        np.bincount(src, minlength=verts.size), starts[:-1]
+    ).tolist()
+    edge_at = np.searchsorted(src, starts).tolist()
+    upper = src < dst
+    up_at = np.searchsorted(src[upper], starts).tolist()
+    up_src, up_dst = verts[src[upper]], verts[dst[upper]]
+    src = src - first[src]
+    dst = dst - first[dst]
+
+    bounds = starts.tolist()
+    count = starts.size - 1
+    if predicate.metric is euclidean_distance:
+        pair_i, pair_j = euclidean_dissimilar_pairs(
+            point_column(graph, verts), starts, predicate.r
+        )
+        at = np.searchsorted(pair_i, starts).tolist()
+        pair_i = pair_i - first[pair_i]
+        pair_j = pair_j - first[pair_j]
+        pairs = [
+            (pair_i[at[c]:at[c + 1]], pair_j[at[c]:at[c + 1]], None)
+            for c in range(count)
+        ]
+    else:
+        pairs = [
+            _index_pairs(graph, predicate, verts[bounds[c]:bounds[c + 1]])
+            for c in range(count)
+        ]
+
+    parts = []
+    for c, (pi, pj, index) in enumerate(pairs):
+        e0, e1 = edge_at[c], edge_at[c + 1]
+        u0, u1 = up_at[c], up_at[c + 1]
+        parts.append(ComponentArrays(
+            verts[bounds[c]:bounds[c + 1]], src[e0:e1], dst[e0:e1], pi, pj,
+            np.concatenate((up_src[u0:u1], up_dst[u0:u1])).tobytes(),
+            max_degree[c], index=index,
+        ))
+    return parts
+
+
+def _index_pairs(graph, predicate: SimilarityPredicate, members: np.ndarray):
+    """One component's dissimilar pairs (local ids) through
+    :func:`component_index`, with the index itself."""
+    index = component_index(graph, predicate, members.tolist(), "csr")
+    pairs = np.array(sorted(index.pair_key()), dtype=np.int64).reshape(-1, 2)
+    local = np.searchsorted(members, pairs)
+    return local[:, 0], local[:, 1], index
+
+
 def maximum_schedule(
     contexts: List[ComponentContext],
 ) -> List[ComponentContext]:
@@ -272,12 +370,8 @@ def solve_component_split(
         for at in range(0, len(frames), SPLIT_BATCH):
             batch_seed = best
             for frame in frames[at:at + SPLIT_BATCH]:
-                sub = ComponentContext(
-                    vertices=ctx.vertices, adj=ctx.adj, index=ctx.index,
-                    k=ctx.k, config=cfg, stats=stats, budget=budget,
-                    rng=random.Random(cfg.seed), csr=ctx.csr,
-                    bitset=ctx.bitset,
-                )
+                sub = copy.copy(ctx)
+                sub.rng = random.Random(cfg.seed)
                 found = solve_subtree(sub, frame, batch_seed)
                 if improves(found, batch_seed) and (
                     best is None or len(found) > len(best)

@@ -20,6 +20,8 @@ Python loops:
   degeneracy order;
 * :func:`component_labels` — min-label propagation with pointer jumping
   (Shiloach–Vishkin style), O(m log n) fully vectorised;
+  :func:`component_order` runs it on a mask's induced subgraph only and
+  sorts the masked vertices by component once;
 * :meth:`CSRGraph.filter_edges` — sort-free edge deletion: one gather of
   the keep mask through a cached directed-entry → edge-id map, one
   compaction of ``indices`` and ``indptr`` read off a cumulative sum, so
@@ -390,14 +392,6 @@ def gather_neighbors(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
     return csr.indices[flat]
 
 
-def _masked_degrees(csr: CSRGraph, mask: np.ndarray) -> np.ndarray:
-    """Degrees counted within ``mask`` (0 outside it)."""
-    n = csr.vertex_count
-    src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees)
-    alive_edge = mask[src] & mask[csr.indices]
-    return np.bincount(src[alive_edge], minlength=n).astype(np.int64)
-
-
 def k_core_mask(
     csr: CSRGraph, k: int, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -406,7 +400,10 @@ def k_core_mask(
     Frontier peeling: every wave removes all current sub-``k`` vertices at
     once and decrements their surviving neighbours' degrees with one
     ``np.subtract.at`` scatter, so the Python-level loop runs once per
-    cascade depth, not once per vertex.
+    cascade depth, not once per vertex.  A seeded peel (``mask`` given)
+    counts degrees over the seed's rows only and looks for each wave's
+    frontier among the seed only, so its work tracks the seed, not the
+    graph.
     """
     if k < 0:
         raise InvalidParameterError(f"k must be >= 0, got {k}")
@@ -414,16 +411,25 @@ def k_core_mask(
     if mask is None:
         alive = np.ones(n, dtype=bool)
         deg = csr.degrees.copy()
+        seed = None
+        frontier = np.nonzero(deg < k)[0]
     else:
         alive = np.asarray(mask, dtype=bool).copy()
-        deg = _masked_degrees(csr, alive)
-    frontier = np.nonzero(alive & (deg < k))[0]
+        seed = np.nonzero(alive)[0]
+        deg = np.zeros(n, dtype=np.int64)
+        deg[seed] = np.bincount(
+            induced_entries(csr, seed)[0], minlength=seed.size
+        )
+        frontier = seed[deg[seed] < k]
     alive[frontier] = False
     while frontier.size:
         hit = gather_neighbors(csr, frontier)
         hit = hit[alive[hit]]
         np.subtract.at(deg, hit, 1)
-        frontier = np.nonzero(alive & (deg < k))[0]
+        if seed is None:
+            frontier = np.nonzero(alive & (deg < k))[0]
+        else:
+            frontier = seed[alive[seed] & (deg[seed] < k)]
         alive[frontier] = False
     return alive
 
@@ -501,6 +507,23 @@ def core_numbers(csr: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
     return core, order
 
 
+def _propagate_min_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Min-label propagation with pointer jumping over ``n`` vertices."""
+    label = np.arange(n, dtype=np.int64)
+    if src.size == 0:
+        return label
+    while True:
+        before = label.copy()
+        np.minimum.at(label, src, label[dst])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
 def component_labels(
     csr: CSRGraph, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -515,25 +538,66 @@ def component_labels(
     mask when grouping.
     """
     n = csr.vertex_count
-    label = np.arange(n, dtype=np.int64)
-    if n == 0 or csr.indices.size == 0:
-        return label
     src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees)
     dst = csr.indices
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         live = mask[src] & mask[dst]
         src, dst = src[live], dst[live]
-    while True:
-        before = label.copy()
-        np.minimum.at(label, src, label[dst])
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        if np.array_equal(label, before):
-            return label
+    return _propagate_min_labels(n, src, dst)
+
+
+def induced_entries(
+    csr: CSRGraph, verts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Directed edges of the subgraph induced by ``verts`` (distinct ids).
+
+    Returns ``(src, dst)`` over positions in ``verts``: entry ``x`` is
+    the edge ``verts[src[x]] -> verts[dst[x]]``.  Entries run row by row
+    in ``verts`` order, each row in CSR (ascending id) order.  One
+    gather over the rows of ``verts`` only.
+    """
+    pos = np.full(csr.vertex_count, -1, dtype=np.int64)
+    pos[verts] = np.arange(verts.size, dtype=np.int64)
+    dst = pos[gather_neighbors(csr, verts)]
+    src = np.repeat(
+        np.arange(verts.size, dtype=np.int64),
+        csr.indptr[verts + 1] - csr.indptr[verts],
+    )
+    live = dst >= 0
+    return src[live], dst[live]
+
+
+def component_order(
+    csr: CSRGraph, mask: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertices of the ``mask``-induced subgraph, grouped by component.
+
+    Returns ``(verts, starts)``: component ``c`` is
+    ``verts[starts[c]:starts[c + 1]]``, ascending by id; components run
+    largest first, ties broken by smallest id.  Labels propagate over the
+    induced subgraph only (its rows, renumbered to ``0 .. s-1``), so the
+    cost tracks the masked vertices and their edges, not the graph.
+    """
+    if mask is None:
+        keep = np.arange(csr.vertex_count, dtype=np.int64)
+    else:
+        keep = np.nonzero(np.asarray(mask, dtype=bool))[0]
+    s = keep.size
+    if s == 0:
+        return keep, np.zeros(1, dtype=np.int64)
+    label = _propagate_min_labels(s, *induced_entries(csr, keep))
+    # A component's label is its smallest local id, which is its
+    # smallest vertex id: rank roots by (-size, id) and sort once.
+    sizes = np.bincount(label, minlength=s)
+    roots = np.nonzero(sizes)[0]
+    ranked = roots[np.lexsort((roots, -sizes[roots]))]
+    rank = np.empty(s, dtype=np.int64)
+    rank[ranked] = np.arange(ranked.size, dtype=np.int64)
+    verts = keep[np.argsort(rank[label], kind="stable")]
+    starts = np.zeros(ranked.size + 1, dtype=np.int64)
+    np.cumsum(sizes[ranked], out=starts[1:])
+    return verts, starts
 
 
 def component_vertex_groups(
@@ -544,18 +608,5 @@ def component_vertex_groups(
     Deterministic ordering so both backends enumerate components in a
     reproducible order.
     """
-    labels = component_labels(csr, mask)
-    if mask is not None:
-        keep = np.nonzero(np.asarray(mask, dtype=bool))[0]
-    else:
-        keep = np.arange(csr.vertex_count, dtype=np.int64)
-    if keep.size == 0:
-        return []
-    lab = labels[keep]
-    order = np.argsort(lab, kind="stable")
-    sorted_vs = keep[order]
-    sorted_lab = lab[order]
-    bounds = np.nonzero(np.diff(sorted_lab))[0] + 1
-    groups = np.split(sorted_vs, bounds)
-    groups.sort(key=lambda g: (-g.size, int(g[0])))
-    return groups
+    verts, starts = component_order(csr, mask)
+    return np.split(verts, starts[1:-1]) if verts.size else []

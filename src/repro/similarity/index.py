@@ -23,7 +23,7 @@ surviving component are few).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -255,6 +255,71 @@ def _build_index_euclidean(
         far = (dx * dx + dy * dy) > r2
         _mark_far_rows(dissimilar, vs, ids, far, start)
     return DissimilarityIndex(dissimilar)
+
+
+#: Pairs per array pass of :func:`euclidean_dissimilar_pairs` (bounds
+#: its temporaries to a few tens of MB whatever the component sizes).
+_PAIR_CHUNK = 1_000_000
+
+
+def point_column(csr: CSRGraph, vertices: np.ndarray) -> np.ndarray:
+    """``(len(vertices), 2)`` float column of the vertices' geo points.
+
+    Reads only the given vertices' attributes, straight from the
+    attribute dict; a missing one raises as in
+    :func:`_build_index_euclidean`.
+    """
+    get = csr._attributes.get
+    points = [require_attribute(get(u), u) for u in vertices.tolist()]
+    out = np.empty((len(points), 2), dtype=np.float64)
+    out[:, 0] = np.fromiter((p[0] for p in points), np.float64, len(points))
+    out[:, 1] = np.fromiter((p[1] for p in points), np.float64, len(points))
+    return out
+
+
+def euclidean_dissimilar_pairs(
+    points: np.ndarray, starts: np.ndarray, r: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dissimilar pairs inside every group of a batch of point groups.
+
+    Group ``c`` is rows ``starts[c]:starts[c + 1]`` of ``points``.  Every
+    within-group pair ``i < j`` is tested with the exact
+    ``(dx * dx + dy * dy) > r * r`` comparison of
+    :func:`_build_index_euclidean`, in flat array passes over all groups
+    at once.  Returns the dissimilar pairs' row positions ``(i, j)``,
+    sorted by ``(i, j)``.
+    """
+    s = points.shape[0]
+    empty = np.zeros(0, dtype=np.int64)
+    if s < 2:
+        return empty, empty
+    sizes = np.diff(starts)
+    rows = np.arange(s, dtype=np.int64)
+    partners = np.repeat(starts[1:], sizes) - rows - 1
+    done = np.cumsum(partners)
+    r2 = r * r
+    found_i, found_j = [], []
+    lo = 0
+    while lo < s:
+        base = int(done[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, "right")))
+        counts = partners[lo:hi]
+        total = int(done[hi - 1]) - base
+        if total:
+            i = np.repeat(rows[lo:hi], counts)
+            offset = np.arange(total, dtype=np.int64) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            j = i + 1 + offset
+            dx = points[i, 0] - points[j, 0]
+            dy = points[i, 1] - points[j, 1]
+            far = (dx * dx + dy * dy) > r2
+            found_i.append(i[far])
+            found_j.append(j[far])
+        lo = hi
+    if not found_i:
+        return empty, empty
+    return np.concatenate(found_i), np.concatenate(found_j)
 
 
 def _build_index_weighted_jaccard(

@@ -38,6 +38,7 @@ from repro.core.maximum import find_maximum_in_component
 from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.datasets.planted import planted_communities
 from repro.graph.kcore import anchored_k_core, k_core_vertices
+from repro.similarity.index import DissimilarityIndex
 from repro.similarity.threshold import SimilarityPredicate
 
 
@@ -200,6 +201,49 @@ class TestBitsetComponentContext:
         b = BitsetComponentContext(ctx.vertices, ctx.adj, ctx.index)
         some = set(list(ctx.vertices)[: max(1, len(ctx.vertices) // 2)])
         assert b.to_vertices(b.mask_of(some)) == frozenset(some)
+
+
+class TestArrayConstructor:
+    """``from_arrays`` packs exactly what the dict constructor packs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_dict_constructor(self, n, seed):
+        rng = random.Random(seed * 1000 + n)
+        # Non-contiguous original ids: local id i is the i-th smallest.
+        verts = np.array(sorted(rng.sample(range(10 * n), n)), dtype=np.int64)
+        ids = verts.tolist()
+        adj = {u: set() for u in ids}
+        rows = {u: set() for u in ids}
+        src, dst, pair_i, pair_j = [], [], [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                roll = rng.random()
+                if roll < 0.3:
+                    adj[ids[i]].add(ids[j])
+                    adj[ids[j]].add(ids[i])
+                    src += [i, j]
+                    dst += [j, i]
+                elif roll < 0.45:
+                    rows[ids[i]].add(ids[j])
+                    rows[ids[j]].add(ids[i])
+                    pair_i.append(i)
+                    pair_j.append(j)
+        src, dst, pair_i, pair_j = (
+            np.array(xs, dtype=np.int64) for xs in (src, dst, pair_i, pair_j)
+        )
+        packed = BitsetComponentContext.from_arrays(
+            verts, src, dst, pair_i, pair_j
+        )
+        ref = BitsetComponentContext(
+            frozenset(ids), adj, DissimilarityIndex(rows)
+        )
+        assert packed.n == ref.n == n
+        assert packed.words == ref.words
+        assert np.array_equal(packed.verts, ref.verts)
+        for name in ("nbr", "dis", "sim", "full"):
+            assert np.array_equal(getattr(packed, name), getattr(ref, name))
+        assert packed.local == ref.local
 
 
 class TestBoundValueEquality:

@@ -1,6 +1,7 @@
 """KRCoreSession: one-shot parity, cache semantics, edits, sweeps."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,11 +14,26 @@ from repro.core.api import (
 from repro.core.config import basic_enum_config
 from repro.core.decomposition import krcore_vertex_memberships
 from repro.core.session import KRCoreSession
+from repro.core.solver import (
+    component_adjacency,
+    component_arrays,
+    component_edges_key_csr,
+    component_index,
+    component_sets,
+    freeze_graph,
+    kcore_survivors,
+    max_component_degree,
+)
+from repro.core.stats import SearchStats
+from repro.datasets.geosocial import geosocial_network
 from repro.datasets.planted import planted_communities
 from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
+from repro.similarity.cache import EdgeSimilarityCache
+from repro.similarity.metrics import MetricKind
 from repro.similarity.threshold import SimilarityPredicate
+from repro.store import GraphStore
 
 BACKENDS = ("python", "csr")
 
@@ -434,3 +450,135 @@ class TestDegradedModes:
             2, 0.3, config=cfg
         )
         assert out.status == "heuristic"
+
+
+def _weighted_graph(seed: int, n: int = 24, p: float = 0.3) -> AttributedGraph:
+    rng = random.Random(seed)
+    g = AttributedGraph(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                g.add_edge(i, j)
+    for i in range(n):
+        g.set_attribute(i, Counter({
+            key: rng.randint(1, 3) for key in rng.sample("abcdef", 3)
+        }))
+    return g
+
+
+def _overlap(a, b) -> float:
+    """A custom metric: shared keywords."""
+    return float(len(a & b))
+
+
+#: (graph, predicate, k) cases covering every metric family, zero
+#: survivors and a single component.
+PREPARATION_CASES = {
+    "euclidean": (make_geo_graph(3, n=40, p=0.15),
+                  SimilarityPredicate("euclidean", 30.0), 2),
+    "euclidean-multi": (geosocial_network(1200, seed=2),
+                        SimilarityPredicate("euclidean", 5.0), 3),
+    "jaccard": (make_random_attr_graph(1, n=40, p=0.3, attrs=3),
+                SimilarityPredicate("jaccard", 0.3), 2),
+    "weighted-jaccard": (_weighted_graph(7),
+                         SimilarityPredicate("weighted_jaccard", 0.3), 2),
+    "custom": (make_random_attr_graph(9, n=30, p=0.3),
+               SimilarityPredicate(_overlap, 1.0, kind=MetricKind.SIMILARITY),
+               2),
+    "zero-survivors": (make_geo_graph(4, n=20, p=0.2),
+                       SimilarityPredicate("euclidean", 30.0), 15),
+    "single-component": (make_geo_graph(6, n=15, p=0.9),
+                         SimilarityPredicate("euclidean", 40.0), 3),
+}
+
+
+class TestBatchedPreparation:
+    """The csr session's one-pass preparation against the per-component stages."""
+
+    @pytest.mark.parametrize("case", sorted(PREPARATION_CASES))
+    def test_matches_per_component_stages(self, case):
+        graph, predicate, k = PREPARATION_CASES[case]
+        csr = freeze_graph(graph)
+        filtered = EdgeSimilarityCache(
+            csr, predicate, backend="csr"
+        ).filtered_at(predicate.r)
+        survivors = kcore_survivors(filtered, k, "csr")
+        comps = component_sets(filtered, survivors, "csr")
+        batched = component_arrays(csr, predicate, filtered, survivors)
+        assert len(batched) == len(comps)
+        if case == "zero-survivors":
+            assert not comps
+        if case == "single-component":
+            assert len(comps) == 1
+        for arrays, comp in zip(batched, comps):
+            assert arrays.verts.tolist() == sorted(comp)
+            adj = component_adjacency(filtered, comp, survivors, "csr")
+            index = component_index(csr, predicate, comp, "csr")
+            assert arrays.edges_key == component_edges_key_csr(
+                comp, filtered, survivors
+            )
+            assert arrays.pair_key() == index.pair_key()
+            assert arrays.max_degree == max_component_degree(adj)
+            assert arrays.adj == adj
+            assert arrays.index.rows() == index.rows()
+
+    @pytest.mark.parametrize("case", sorted(PREPARATION_CASES))
+    def test_session_order_and_signatures(self, case):
+        graph, predicate, k = PREPARATION_CASES[case]
+        session = KRCoreSession(graph, backend="csr")
+        parts = session._prepare(k, predicate, "csr", SearchStats())
+        csr = freeze_graph(graph)
+        filtered = EdgeSimilarityCache(
+            csr, predicate, backend="csr"
+        ).filtered_at(predicate.r)
+        survivors = kcore_survivors(filtered, k, "csr")
+        want = []
+        for comp in component_sets(filtered, survivors, "csr"):
+            adj = component_adjacency(filtered, comp, survivors, "csr")
+            vertices = frozenset(comp)
+            signature = (
+                vertices,
+                component_edges_key_csr(comp, filtered, survivors),
+                component_index(csr, predicate, comp, "csr").pair_key(),
+            )
+            want.append((signature, max_component_degree(adj)))
+        want.sort(key=lambda item: -item[1])
+        assert [(p.signature, p.max_degree) for p in parts] == want
+
+
+class TestLazyComponentForms:
+    """Dict adjacency and index exist only where something reads them."""
+
+    def test_unsearched_components_stay_arrays(self):
+        graph = geosocial_network(2500, seed=3)
+        session = KRCoreSession(graph, metric="euclidean")
+        session.statistics(4, 4.9)
+        session.maximum(4, 4.9)
+        parts = session._prepare(
+            4, SimilarityPredicate("euclidean", 4.9), "csr", SearchStats()
+        )
+        assert len(parts) > 1
+        # The bitset engines search from the packed arrays alone.
+        assert sum(part.arrays.materialised for part in parts) == 0
+        assert any(part.bitset is not None for part in parts)
+        # A set-form reader (the greedy heuristic) builds them on demand.
+        session.maximum_outcome(4, 4.9, mode="heuristic")
+        assert all(part.arrays.materialised for part in parts)
+
+    def test_repeat_after_save_load_runs_no_engine(self, tmp_path):
+        graph = geosocial_network(2500, seed=3)
+        db = str(tmp_path / "store.db")
+        with GraphStore(db) as store:
+            cold = KRCoreSession(graph, metric="euclidean")
+            summary = cold.statistics(4, 4.9)
+            best = cold.maximum(4, 4.9)
+            cold.save(store, "geo")
+        with GraphStore(db) as store:
+            warm = KRCoreSession.load(store, "geo", metric="euclidean")
+            again, stats = warm.statistics(4, 4.9, with_stats=True)
+            core, mstats = warm.maximum(4, 4.9, with_stats=True)
+        assert again == summary
+        assert sorted(core.vertices) == sorted(best.vertices)
+        for st in (stats, mstats):
+            assert st.nodes == 0
+            assert st.cache_misses == 0

@@ -351,3 +351,28 @@ class TestKernels:
         for k in (1, 2, 3):
             assert k_core_vertices(c, k, vertices=sub) == \
                 k_core_vertices(g, k, vertices=sub)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_peel_matches_unseeded(self, seed):
+        g = make_random_attr_graph(seed, n=40, p=0.2)
+        c = CSRGraph.from_attributed(g)
+        prev = None
+        for k in range(1, 7):
+            full = k_core_mask(c, k)
+            if prev is not None:
+                assert np.array_equal(k_core_mask(c, k, prev), full)
+            prev = full
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_masked_groups_match_set_components(self, seed):
+        from repro.graph.components import connected_components
+
+        rng = random.Random(seed)
+        g = make_random_attr_graph(seed, n=30, p=0.08)
+        c = CSRGraph.from_attributed(g)
+        sub = rng.sample(range(30), rng.randint(0, 30))
+        mask = np.zeros(30, dtype=bool)
+        mask[sub] = True
+        groups = [g_.tolist() for g_ in component_vertex_groups(c, mask)]
+        want = [sorted(comp) for comp in connected_components(g, sub)]
+        assert groups == want

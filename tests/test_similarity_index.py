@@ -1,12 +1,17 @@
 """Dissimilarity index: correctness vs brute force, numpy geo path."""
 
+import numpy as np
 import pytest
 
 from conftest import make_geo_graph, make_random_attr_graph
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.csr import CSRGraph
+from repro.similarity import index as index_module
 from repro.similarity.index import (
     DissimilarityIndex,
     build_index,
+    euclidean_dissimilar_pairs,
+    point_column,
     remove_dissimilar_edges,
 )
 from repro.similarity.threshold import SimilarityPredicate
@@ -60,6 +65,29 @@ class TestBuildIndexEuclidean:
         pred = SimilarityPredicate("euclidean", 1.0)
         idx = build_index(g, pred, [0])
         assert idx.dissimilar_to(0) == set()
+
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_pairs_match_per_group_index(self, monkeypatch, chunk, seed):
+        if chunk is not None:
+            monkeypatch.setattr(index_module, "_PAIR_CHUNK", chunk)
+        g = make_geo_graph(seed, n=30)
+        csr = CSRGraph.from_attributed(g)
+        groups = [[0], [1, 2, 3, 4, 5, 6, 7, 8], [9], list(range(10, 30))]
+        verts = np.array([u for grp in groups for u in grp], dtype=np.int64)
+        starts = np.cumsum([0] + [len(grp) for grp in groups])
+        pred = SimilarityPredicate("euclidean", 15.0)
+        pi, pj = euclidean_dissimilar_pairs(
+            point_column(csr, verts), starts, pred.r
+        )
+        got = list(zip(verts[pi].tolist(), verts[pj].tolist()))
+        want = [
+            pair
+            for grp in groups
+            for pair in sorted(build_index(g, pred, grp).pair_key())
+        ]
+        assert got == want
 
 
 class TestIndexQueries:
