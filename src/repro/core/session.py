@@ -98,7 +98,7 @@ from repro.core.solver import (
 from repro.core.stats import SearchStats
 from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, edit_steps
 from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.threshold import SimilarityPredicate
 
@@ -203,7 +203,10 @@ class KRCoreSession:
         The attributed graph (or an already-frozen
         :class:`~repro.graph.csr.CSRGraph`).  With ``copy=True`` (the
         default) a private copy is kept, so :meth:`edit` never mutates
-        the caller's object.
+        the caller's object.  A CSR graph is served as it is: the dict
+        :class:`AttributedGraph` is built from it only when the
+        :attr:`graph` property, the ``python`` backend or the first edit
+        asks for it.
     metric:
         Default metric for queries passing only ``r`` (name or callable,
         default Jaccard); each query may override it.
@@ -245,8 +248,11 @@ class KRCoreSession:
         result_cache_limit: int = 4096,
         maintenance: bool = True,
     ):
+        # At least one form is always held; ``_csr`` is dropped only
+        # while ``_graph`` exists to re-freeze it from.
+        self._graph: Optional[AttributedGraph]
         if isinstance(graph, CSRGraph):
-            self._graph = graph.to_attributed()
+            self._graph = None
             self._csr: Optional[CSRGraph] = graph
         else:
             self._graph = graph.copy() if copy else graph
@@ -282,19 +288,26 @@ class KRCoreSession:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> AttributedGraph:
-        """The session's current graph (treat as read-only; use the mutators)."""
+        """The session's current graph (treat as read-only; use the mutators).
+
+        Built from the CSR form on first access when the session was
+        given (or loaded) a :class:`CSRGraph`; edits keep both forms in
+        step from then on.
+        """
+        if self._graph is None:
+            self._graph = self._csr.to_attributed()
         return self._graph
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert an edge; returns whether the graph changed."""
-        changed = self._graph.add_edge(u, v)
+        changed = self.graph.add_edge(u, v)
         if changed:
             self._after_edit("add_edge", u, v)
         return changed
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Delete an edge; returns whether the graph changed."""
-        changed = self._graph.remove_edge(u, v)
+        changed = self.graph.remove_edge(u, v)
         if changed:
             self._after_edit("remove_edge", u, v)
         return changed
@@ -306,11 +319,12 @@ class KRCoreSession:
         left exactly as a fresh session on the same graph would build it,
         instead of being invalidated for nothing.
         """
-        if self._graph.has_attribute(u) and self._same_value(
-            self._graph.attribute(u), value
+        graph = self.graph
+        if graph.has_attribute(u) and self._same_value(
+            graph.attribute(u), value
         ):
             return False
-        self._graph.set_attribute(u, value)
+        graph.set_attribute(u, value)
         self._after_edit("attribute", u)
         return True
 
@@ -351,12 +365,13 @@ class KRCoreSession:
         are unchanged).
         """
         changed = False
-        for u, v in add_edges:
-            changed = self.add_edge(u, v) or changed
-        for u, v in remove_edges:
-            changed = self.remove_edge(u, v) or changed
-        for u, value in (attributes or {}).items():
-            changed = self.set_attribute(u, value) or changed
+        for kind, u, arg in edit_steps(add_edges, remove_edges, attributes):
+            if kind == "add_edge":
+                changed = self.add_edge(u, arg) or changed
+            elif kind == "remove_edge":
+                changed = self.remove_edge(u, arg) or changed
+            else:
+                changed = self.set_attribute(u, arg) or changed
         return changed
 
     def drop_results(self) -> None:
@@ -430,8 +445,8 @@ class KRCoreSession:
     def save(self, store, name: str) -> str:
         """Persist the session's graph and warm state into ``store``.
 
-        Writes the current graph (upsert under ``name``), the frozen CSR
-        form if one exists, every built-in-metric edge-value cache, and
+        Writes the current graph as a snapshot (upsert under ``name``),
+        every built-in-metric edge-value cache, and
         all result-cache entries computed since the last save
         (write-through — previously loaded entries are already on disk).
         Entries that cannot be persisted (custom metric callables) are
@@ -442,9 +457,9 @@ class KRCoreSession:
         from repro.store import codec
 
         self._ensure_fresh()
-        fp = store.save_graph(name, self._graph)
-        if self._csr is not None:
-            store.save_csr(name, self._csr, fp)
+        fp = store.save_graph(
+            name, self._csr if self._csr is not None else self._graph
+        )
         for (mkey, backend), cache in self._edge_values.items():
             try:
                 mname = codec.metric_name(mkey[0])
@@ -482,21 +497,22 @@ class KRCoreSession:
     ) -> "KRCoreSession":
         """Warm-start a session from a stored graph.
 
-        Restores the graph, its frozen CSR arrays, every persisted
-        edge-metric value cache, and the result cache — so a previously
-        computed query is served with **zero** engine invocations
-        (result-cache hits only) and byte-identical results.  Only rows
-        whose fingerprint matches the stored graph are restored; a
-        stale row (post-edit, or written for a different graph) is
-        skipped and simply recomputed on demand.
+        Restores the graph in CSR form (the snapshot with its pending
+        edit-log entries replayed; the dict graph is built only if a
+        stored python-backend edge-value cache needs it), every
+        persisted edge-metric value cache, and the result cache — so a
+        previously computed query is served with **zero** engine
+        invocations (result-cache hits only) and byte-identical results.
+        Only rows whose fingerprint matches the stored graph are
+        restored; a stale row (post-edit, or written for a different
+        graph) is skipped and simply recomputed on demand.
         """
         from repro.exceptions import InvalidParameterError as _IPE
         from repro.exceptions import StoreError
         from repro.store import codec
 
-        graph = store.load_graph(name)
         session = cls(
-            graph,
+            store.load_graph(name),
             metric=metric,
             config=config,
             backend=backend,
@@ -504,9 +520,6 @@ class KRCoreSession:
             result_cache_limit=result_cache_limit,
             maintenance=maintenance,
         )
-        csr = store.load_csr(name, graph)
-        if csr is not None:
-            session._csr = csr
         for mname, backend_, payload in store.load_edge_metrics(name):
             try:
                 predicate = SimilarityPredicate(mname, 0.0)
@@ -529,7 +542,10 @@ class KRCoreSession:
 
     def _touch(self) -> None:
         self._version += 1
-        self._csr = None  # CSR snapshots attributes; rebuild after any edit
+        if self._graph is not None:
+            # The dict graph may have moved on without the CSR (an edit
+            # maintenance declined): re-freeze from it when next needed.
+            self._csr = None
 
     def _ensure_fresh(self) -> None:
         if self._prep_version != self._version:
@@ -1337,7 +1353,7 @@ class KRCoreSession:
             if self._csr is None:
                 self._csr = freeze_graph(self._graph)
             return self._csr
-        return self._graph
+        return self.graph
 
     def _filtered_graph(
         self,

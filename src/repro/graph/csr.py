@@ -94,6 +94,39 @@ class CSRGraph:
         out._edge_ids = None
         return out
 
+    def validate(self) -> None:
+        """Raise :class:`GraphError` unless the arrays are a canonical
+        simple undirected CSR: offsets from 0 that never decrease, ids in
+        range, no self loops, strictly ascending rows, and every entry
+        ``u -> v`` matched by its twin ``v -> u``.
+
+        One pass of array checks plus the stable argsort that pairs each
+        lower entry with its upper twin — the same sort
+        :meth:`_edge_id_map` needs, whose result is cached on the way.
+        """
+        n = self.vertex_count
+        indptr, indices = self.indptr, self.indices
+        if indptr[0] != 0 or (np.diff(indptr) < 0).any():
+            raise GraphError("indptr is not a non-decreasing offset array from 0")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise GraphError(f"indices name a vertex outside 0..{n - 1}")
+        src = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        if (src == indices).any():
+            raise GraphError("indices contain a self loop")
+        same_row = src[1:] == src[:-1]
+        if (indices[1:][same_row] <= indices[:-1][same_row]).any():
+            raise GraphError("a row of indices is not strictly ascending")
+        upper = src < indices
+        if 2 * int(np.count_nonzero(upper)) != indices.size:
+            raise GraphError("indices are not symmetric")
+        twins = self._lower_twins(upper)
+        if not (
+            np.array_equal(indices[twins], src[upper])
+            and np.array_equal(src[twins], indices[upper])
+        ):
+            raise GraphError("indices are not symmetric")
+        self._edge_ids = self._edge_ids_from(upper, twins)
+
     # ------------------------------------------------------------------
     # Construction / conversion
     # ------------------------------------------------------------------
@@ -135,13 +168,18 @@ class CSRGraph:
         return cls(indptr, dst[order], attributes, labels)
 
     def to_attributed(self) -> AttributedGraph:
-        """Thaw back into a mutable :class:`AttributedGraph`."""
-        g = AttributedGraph(self.vertex_count)
-        eu, ev = self.edge_array()
-        for u, v in zip(eu.tolist(), ev.tolist()):
-            g.add_edge(u, v)
-        for u, value in self._attributes.items():
-            g.set_attribute(u, value)
+        """Thaw back into a mutable :class:`AttributedGraph`.
+
+        Each adjacency set is built from its sorted CSR row, so every
+        set sees its members inserted in ascending order, as edge-by-edge
+        insertion in :meth:`edge_array` order would.
+        """
+        g = AttributedGraph(0)
+        indices = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        g._adj = [set(indices[a:b]) for a, b in zip(bounds, bounds[1:])]
+        g._edge_count = self.edge_count
+        g._attributes = dict(self._attributes)
         if self._labels is not None:
             g._labels = list(self._labels)
         return g
@@ -250,13 +288,21 @@ class CSRGraph:
         if self._edge_ids is None:
             src = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.degrees)
             upper = src < self.indices
-            ids = np.arange(self.edge_count, dtype=np.int64)
-            eid = np.empty(self.indices.size, dtype=np.int64)
-            eid[upper] = ids
-            lower = np.nonzero(~upper)[0]
-            eid[lower[np.argsort(self.indices[lower], kind="stable")]] = ids
-            self._edge_ids = eid
+            self._edge_ids = self._edge_ids_from(upper, self._lower_twins(upper))
         return self._edge_ids
+
+    def _lower_twins(self, upper: np.ndarray) -> np.ndarray:
+        """Positions of the lower entries (``u > v``), sorted by ``(v, u)``:
+        the ``i``-th is the twin of the ``i``-th upper entry."""
+        lower = np.nonzero(~upper)[0]
+        return lower[np.argsort(self.indices[lower], kind="stable")]
+
+    def _edge_ids_from(self, upper: np.ndarray, twins: np.ndarray) -> np.ndarray:
+        ids = np.arange(twins.size, dtype=np.int64)
+        eid = np.empty(self.indices.size, dtype=np.int64)
+        eid[upper] = ids
+        eid[twins] = ids
+        return eid
 
     def filter_edges(self, keep: np.ndarray) -> "CSRGraph":
         """New graph keeping only the edges selected by ``keep``.
@@ -371,6 +417,48 @@ def with_attribute(csr: CSRGraph, u: int, value: Any) -> CSRGraph:
     out._attributes[u] = value
     out._edge_ids = csr._edge_ids
     return out
+
+
+def edit_steps(
+    add_edges: Iterable[Tuple[int, int]] = (),
+    remove_edges: Iterable[Tuple[int, int]] = (),
+    attributes: Optional[Dict[int, Any]] = None,
+) -> Iterator[Tuple[str, int, Any]]:
+    """The primitive steps of one batch edit, in the one order every
+    consumer applies them: edge insertions, then deletions, then
+    attribute assignments.
+
+    Yields ``("add_edge", u, v)``, ``("remove_edge", u, v)`` and
+    ``("attribute", u, value)``.  :meth:`KRCoreSession.edit` and the
+    store's edit-log replay (:func:`apply_edit`) both walk these steps,
+    so a batch that inserts and deletes the same edge means the same
+    graph to both.
+    """
+    for u, v in add_edges:
+        yield "add_edge", u, v
+    for u, v in remove_edges:
+        yield "remove_edge", u, v
+    for u, value in (attributes or {}).items():
+        yield "attribute", u, value
+
+
+def apply_edit(
+    csr: CSRGraph,
+    add_edges: Iterable[Tuple[int, int]] = (),
+    remove_edges: Iterable[Tuple[int, int]] = (),
+    attributes: Optional[Dict[int, Any]] = None,
+) -> CSRGraph:
+    """New graph with one batch edit applied, step by step in
+    :func:`edit_steps` order through :func:`with_edge_added`,
+    :func:`with_edge_removed` and :func:`with_attribute`."""
+    for kind, u, arg in edit_steps(add_edges, remove_edges, attributes):
+        if kind == "add_edge":
+            csr = with_edge_added(csr, u, arg)
+        elif kind == "remove_edge":
+            csr = with_edge_removed(csr, u, arg)
+        else:
+            csr = with_attribute(csr, u, arg)
+    return csr
 
 
 def gather_neighbors(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:

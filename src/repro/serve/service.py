@@ -416,9 +416,6 @@ class KRCoreService:
                     name,
                     codec.encode_edit(add_edges, remove_edges, attributes),
                     fp,
-                    add_edges=add_edges,
-                    remove_edges=remove_edges,
-                    attributes=attributes,
                 )
                 entry.dirty = True
             else:

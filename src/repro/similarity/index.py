@@ -498,16 +498,20 @@ def squared_edge_lengths(
     read straight from the attribute dict, and only for endpoints of
     ``live`` edges — the set-based path never reads non-endpoint
     attributes either, so a malformed attribute on an isolated vertex
-    cannot crash this backend only.
+    cannot crash this backend only.  A graph whose geo-point column is
+    already built (a stored graph's point column seeds it) is read from
+    that column instead.
     """
-    ends = np.zeros(csr.vertex_count, dtype=bool)
-    ends[eu[live]] = True
-    ends[ev[live]] = True
-    ids = np.nonzero(ends)[0]
-    points = [csr._attributes[u] for u in ids.tolist()]
-    pts = np.full((csr.vertex_count, 2), np.nan, dtype=np.float64)
-    pts[ids, 0] = np.fromiter((p[0] for p in points), np.float64, count=ids.size)
-    pts[ids, 1] = np.fromiter((p[1] for p in points), np.float64, count=ids.size)
+    pts = csr._geo
+    if pts is None:
+        ends = np.zeros(csr.vertex_count, dtype=bool)
+        ends[eu[live]] = True
+        ends[ev[live]] = True
+        ids = np.nonzero(ends)[0]
+        points = [csr._attributes[u] for u in ids.tolist()]
+        pts = np.full((csr.vertex_count, 2), np.nan, dtype=np.float64)
+        pts[ids, 0] = np.fromiter((p[0] for p in points), np.float64, count=ids.size)
+        pts[ids, 1] = np.fromiter((p[1] for p in points), np.float64, count=ids.size)
     return (pts[eu, 0] - pts[ev, 0]) ** 2 + (pts[eu, 1] - pts[ev, 1]) ** 2
 
 

@@ -2,69 +2,86 @@
 
 :class:`GraphStore` is the on-disk layer under
 :class:`~repro.core.session.KRCoreSession` and the query service: named
-graphs (edge list + attribute profiles + labels), frozen CSR arrays,
-per-(metric, backend) edge-metric values, the per-component result
-cache, and the service's edit log all live in one sqlite database.
+graphs, per-(metric, backend) edge-metric values, the per-component
+result cache, and the service's edit log all live in one sqlite
+database.
+
+Canonical data: a snapshot plus its edit log
+--------------------------------------------
+A stored graph is one versioned array snapshot — a single ``graphs`` row
+— plus the ``edits`` log.  The snapshot holds the CSR ``indptr`` /
+``indices`` arrays; the attributes, as a float64 point column (vertex
+ids plus ``(x, y)``) when every attribute is a 2-d point and otherwise
+as an encoded column (:func:`~repro.store.codec.encode_attribute` per
+vertex); the labels, only when they differ from the defaults; ``n``,
+``m``, and ``snapshot_seq``, the last edit-log entry it includes.  The
+row also carries the graph's *current* fingerprint.
+
+:meth:`GraphStore.record_edit` only appends an edit's payload to the log
+and advances that fingerprint.  :meth:`GraphStore.load_graph` decodes
+the snapshot, checks its arrays are a canonical CSR, replays the log
+entries past ``snapshot_seq`` onto it
+(:func:`~repro.graph.csr.apply_edit`, the order
+:meth:`KRCoreSession.edit` applies edits in) and checks the result's
+array fingerprint (:func:`~repro.graph.ingest.csr_fingerprint`) against
+the current one.  A changed array element, a malformed blob, or an
+altered or missing log payload raises :class:`StoreError`: a graph is
+served exactly or not at all.  A save of a graph whose log has pending
+entries writes a new snapshot, so the replay stays short; the entries
+stay in the log as history.
 
 Staleness safety
 ----------------
-Every derived row (CSR arrays, edge-metric payloads, result entries) is
-stored together with the :func:`~repro.graph.io.graph_fingerprint` of
-the graph it was computed on.  Loaders only ever return rows whose
-fingerprint matches the *current* stored graph, so an edited or
-re-saved graph can never serve a stale cache entry — the rows simply
-stop matching and are removed by the next :meth:`prune` / save cycle.
+Every derived row (edge-metric payloads, result entries) is stored
+together with the fingerprint of the graph it was computed on.  Loaders
+only ever return rows whose fingerprint matches the *current* stored
+graph, so an edited or re-saved graph can never serve a stale cache
+entry — the rows simply stop matching and are removed by the next
+:meth:`prune` / save cycle.
 
 Concurrency
 -----------
 One connection serves all threads (``check_same_thread=False``) behind
 an internal lock; file-backed stores run in WAL mode so the service's
 reader threads do not block its writer.  The schema carries a version
-number; opening a database written by an incompatible version rebuilds
-it from scratch (the store is a cache — the canonical data always also
-exists as graph rows, which are versioned with the schema).
+number; opening a database written by another version drops every
+table and starts empty, so an old-layout row is never served.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import zipfile
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import StoreError
+from repro.exceptions import GraphError, StoreError
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.csr import CSRGraph
-from repro.graph.io import graph_fingerprint
-from repro.store.codec import decode_attribute, decode_edit, encode_attribute
+from repro.graph.csr import CSRGraph, apply_edit
+from repro.graph.ingest import csr_fingerprint
+from repro.store.codec import (
+    canonical_json,
+    decode_attribute,
+    decode_edit,
+    encode_attribute,
+)
 
 #: Bump on any incompatible schema change; mismatched stores rebuild.
-SCHEMA_VERSION = 1
+#: Version 2: one array snapshot row per graph plus the edit log
+#: (version 1 kept a row per edge, attribute and label).
+SCHEMA_VERSION = 2
 
 _TABLES = {
     "meta": "(key TEXT PRIMARY KEY, value TEXT NOT NULL)",
     "graphs": (
-        "(name TEXT PRIMARY KEY, n INTEGER NOT NULL, "
-        "fingerprint TEXT NOT NULL, created REAL NOT NULL, "
-        "updated REAL NOT NULL)"
-    ),
-    "edges": (
-        "(graph TEXT NOT NULL, u INTEGER NOT NULL, v INTEGER NOT NULL, "
-        "PRIMARY KEY (graph, u, v))"
-    ),
-    "attributes": (
-        "(graph TEXT NOT NULL, vertex INTEGER NOT NULL, value TEXT NOT NULL, "
-        "PRIMARY KEY (graph, vertex))"
-    ),
-    "labels": (
-        "(graph TEXT NOT NULL, vertex INTEGER NOT NULL, label TEXT NOT NULL, "
-        "PRIMARY KEY (graph, vertex))"
-    ),
-    "csr": (
-        "(graph TEXT PRIMARY KEY, fingerprint TEXT NOT NULL, "
+        "(name TEXT PRIMARY KEY, n INTEGER NOT NULL, m INTEGER NOT NULL, "
+        "fingerprint TEXT NOT NULL, snapshot_seq INTEGER NOT NULL, "
+        "labels TEXT, created REAL NOT NULL, updated REAL NOT NULL, "
         "arrays BLOB NOT NULL)"
     ),
     "edge_metrics": (
@@ -87,7 +104,12 @@ _TABLES = {
 _INDICES = (
     "CREATE INDEX IF NOT EXISTS idx_results_graph_fp "
     "ON results (graph, fingerprint)",
-    "CREATE INDEX IF NOT EXISTS idx_edges_graph ON edges (graph)",
+)
+
+#: What a malformed snapshot blob or log payload raises while decoding.
+_DECODE_ERRORS = (
+    ValueError, TypeError, KeyError, IndexError, EOFError, OSError,
+    zipfile.BadZipFile, GraphError,
 )
 
 
@@ -100,6 +122,71 @@ def _pack_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
 def _unpack_arrays(blob: bytes) -> Dict[str, np.ndarray]:
     with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
         return {name: npz[name] for name in npz.files}
+
+
+def _encode_snapshot(csr: CSRGraph) -> Tuple[Dict[str, np.ndarray], Optional[str]]:
+    """The snapshot columns of ``csr``: its arrays and its labels (JSON,
+    or ``None`` for the default labels)."""
+    arrays = {"indptr": csr.indptr, "indices": csr.indices}
+    attributes = csr._attributes
+    ids = sorted(attributes)
+    values = [attributes[u] for u in ids]
+    if all(isinstance(v, (tuple, list)) and len(v) == 2 for v in values):
+        try:
+            points = np.array(values, dtype=np.float64).reshape(-1, 2)
+        except (TypeError, ValueError):
+            raise StoreError(
+                "a 2-element attribute value is not a numeric point"
+            ) from None
+        arrays["point_ids"] = np.array(ids, dtype=np.int64)
+        arrays["points"] = points
+    else:
+        arrays["attr_ids"] = np.array(ids, dtype=np.int64)
+        # canonical_json escapes every control character, so "\n" never
+        # occurs inside an encoded value.
+        arrays["attr_codes"] = np.frombuffer(
+            "\n".join(map(encode_attribute, values)).encode(), dtype=np.uint8
+        )
+    labels = csr._labels
+    if labels is not None and labels != [str(u) for u in csr.vertices()]:
+        return arrays, canonical_json(list(labels))
+    return arrays, None
+
+
+def _snapshot_graph(
+    n: int, arrays: Dict[str, np.ndarray], labels: Optional[str]
+) -> CSRGraph:
+    """The graph a snapshot's columns decode to (unvalidated).
+
+    Point attributes come back as ``(float, float)`` tuples and seed the
+    graph's geo-point column; encoded ones as
+    :func:`~repro.store.codec.decode_attribute` returns them.
+    """
+    indptr = arrays["indptr"]
+    if indptr.shape != (n + 1,):
+        raise StoreError(f"snapshot indptr has shape {indptr.shape}, n is {n}")
+    if "points" in arrays:
+        ids, points = arrays["point_ids"], arrays["points"]
+        values = zip(points[:, 0].tolist(), points[:, 1].tolist())
+    else:
+        ids = arrays["attr_ids"]
+        codes = arrays["attr_codes"].tobytes().decode()
+        values = map(decode_attribute, codes.split("\n") if ids.size else ())
+    attributes = dict(zip(ids.tolist(), values))
+    if len(attributes) != ids.size or (
+        ids.size and (ids.min() < 0 or ids.max() >= n)
+    ):
+        raise StoreError("snapshot attribute ids are not distinct vertices")
+    label_list = json.loads(labels) if labels is not None else None
+    if label_list is not None and (
+        len(label_list) != n or not all(isinstance(x, str) for x in label_list)
+    ):
+        raise StoreError("snapshot labels are not one string per vertex")
+    csr = CSRGraph(indptr, arrays["indices"], attributes, label_list)
+    if "points" in arrays:
+        csr._geo = np.full((n, 2), np.nan, dtype=np.float64)
+        csr._geo[ids] = points
+    return csr
 
 
 class GraphStore:
@@ -137,25 +224,29 @@ class GraphStore:
 
     def _ensure_schema(self) -> None:
         with self._lock, self._conn:
-            cur = self._conn.execute(
-                "SELECT name FROM sqlite_master "
-                "WHERE type = 'table' AND name = 'meta'"
-            )
+            tables = [
+                name for (name,) in self._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table' "
+                    "AND name NOT LIKE 'sqlite_%'"
+                )
+            ]
             version = None
-            if cur.fetchone() is not None:
+            if "meta" in tables:
                 row = self._conn.execute(
                     "SELECT value FROM meta WHERE key = 'schema_version'"
                 ).fetchone()
                 version = int(row[0]) if row else None
-            if version is not None and version != SCHEMA_VERSION:
-                for table in _TABLES:
-                    self._conn.execute(f"DROP TABLE IF EXISTS {table}")
-                version = None
+            if version != SCHEMA_VERSION:
+                # Another layout (or none recorded): start empty, so no
+                # row written under it can ever be served.
+                for table in tables:
+                    quoted = table.replace('"', '""')
+                    self._conn.execute(f'DROP TABLE IF EXISTS "{quoted}"')
             for table, spec in _TABLES.items():
                 self._conn.execute(f"CREATE TABLE IF NOT EXISTS {table} {spec}")
             for stmt in _INDICES:
                 self._conn.execute(stmt)
-            if version is None:
+            if version != SCHEMA_VERSION:
                 self._conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES "
                     "('schema_version', ?)",
@@ -166,22 +257,26 @@ class GraphStore:
     # Graphs
     # ------------------------------------------------------------------
     def list_graphs(self) -> List[Dict[str, Any]]:
-        """Summaries of every stored graph (name order)."""
+        """Summaries of every stored graph (name order).
+
+        ``m`` counts the snapshot's edges; ``pending_edits`` log entries
+        apply on top of it when the graph loads.
+        """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT name, n, fingerprint, created, updated "
+                "SELECT name, n, m, fingerprint, created, updated, "
+                "(SELECT COUNT(*) FROM edits "
+                " WHERE graph = name AND seq > snapshot_seq) "
                 "FROM graphs ORDER BY name"
             ).fetchall()
-            out = []
-            for name, n, fp, created, updated in rows:
-                m = self._conn.execute(
-                    "SELECT COUNT(*) FROM edges WHERE graph = ?", (name,)
-                ).fetchone()[0]
-                out.append({
-                    "name": name, "n": n, "m": m, "fingerprint": fp,
-                    "created": created, "updated": updated,
-                })
-            return out
+        return [
+            {
+                "name": name, "n": n, "m": m, "fingerprint": fp,
+                "created": created, "updated": updated,
+                "pending_edits": pending,
+            }
+            for name, n, m, fp, created, updated, pending in rows
+        ]
 
     def has_graph(self, name: str) -> bool:
         with self._lock:
@@ -200,152 +295,93 @@ class GraphStore:
             raise StoreError(f"no stored graph named {name!r}")
         return row[0]
 
-    def save_graph(self, name: str, graph: AttributedGraph) -> str:
-        """Upsert a graph under ``name``; returns its fingerprint.
+    def save_graph(
+        self, name: str, graph: Union[AttributedGraph, CSRGraph]
+    ) -> str:
+        """Upsert a graph under ``name`` as a new snapshot; returns its
+        fingerprint.
 
-        Re-saving an identical graph is a no-op (derived rows survive);
-        saving a changed graph rewrites the canonical rows and leaves
-        the derived rows stale — they stop being served immediately and
-        are removed by the next :meth:`prune`.
+        ``graph`` may be either form; an :class:`AttributedGraph` is
+        frozen to CSR first.  The fingerprint is that of the graph
+        :meth:`load_graph` will return — point attributes are stored,
+        and so fingerprinted, as the ``(float, float)`` pairs a load
+        decodes, whatever number types or sequence the caller used.
+
+        Re-saving an identical graph whose log has no pending entries is
+        a no-op (derived rows survive).  Saving a changed graph, or any
+        graph whose log has pending entries, writes a new snapshot that
+        includes every logged edit; derived rows of a changed graph go
+        stale — they stop being served immediately and are removed by
+        the next :meth:`prune`.
         """
-        fp = graph_fingerprint(graph)
+        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_attributed(graph)
+        arrays, labels = _encode_snapshot(csr)
+        fp = csr_fingerprint(_snapshot_graph(csr.vertex_count, arrays, labels))
         now = time.time()
-        attr_rows = [
-            (name, u, encode_attribute(graph.attribute(u)))
-            for u in graph.vertices()
-            if graph.has_attribute(u)
-        ]
-        labels = [graph.label(u) for u in graph.vertices()]
-        if labels == [str(u) for u in graph.vertices()]:
-            labels = None  # default labels: nothing to store
         with self._lock, self._conn:
             row = self._conn.execute(
-                "SELECT n, fingerprint FROM graphs WHERE name = ?", (name,)
+                "SELECT n, fingerprint, snapshot_seq FROM graphs WHERE name = ?",
+                (name,),
             ).fetchone()
-            if row is not None and row[0] == graph.vertex_count and row[1] == fp:
+            last = self._conn.execute(
+                "SELECT COALESCE(MAX(seq), 0) FROM edits WHERE graph = ?",
+                (name,),
+            ).fetchone()[0]
+            if row is not None and tuple(row) == (csr.vertex_count, fp, last):
                 return fp
             self._conn.execute(
-                "INSERT INTO graphs (name, n, fingerprint, created, updated) "
-                "VALUES (?, ?, ?, ?, ?) "
+                "INSERT INTO graphs (name, n, m, fingerprint, snapshot_seq, "
+                "labels, created, updated, arrays) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(name) DO UPDATE SET "
-                "n = excluded.n, fingerprint = excluded.fingerprint, "
-                "updated = excluded.updated",
-                (name, graph.vertex_count, fp, now, now),
+                "n = excluded.n, m = excluded.m, "
+                "fingerprint = excluded.fingerprint, "
+                "snapshot_seq = excluded.snapshot_seq, "
+                "labels = excluded.labels, updated = excluded.updated, "
+                "arrays = excluded.arrays",
+                (name, csr.vertex_count, csr.edge_count, fp, last, labels,
+                 now, now, _pack_arrays(arrays)),
             )
-            for table in ("edges", "attributes", "labels"):
-                self._conn.execute(
-                    f"DELETE FROM {table} WHERE graph = ?", (name,)
-                )
-            self._conn.executemany(
-                "INSERT INTO edges (graph, u, v) VALUES (?, ?, ?)",
-                ((name, u, v) for u, v in sorted(
-                    tuple(sorted(e)) for e in graph.edges()
-                )),
-            )
-            self._conn.executemany(
-                "INSERT INTO attributes (graph, vertex, value) VALUES (?, ?, ?)",
-                attr_rows,
-            )
-            if labels is not None:
-                self._conn.executemany(
-                    "INSERT INTO labels (graph, vertex, label) VALUES (?, ?, ?)",
-                    ((name, u, label) for u, label in enumerate(labels)),
-                )
         return fp
 
     def save_csr_graph(self, name: str, csr: CSRGraph) -> str:
-        """Upsert a CSR-origin graph array-natively; returns its fingerprint.
+        """:meth:`save_graph` of a CSR graph — the ingestion path, which
+        never materialises an :class:`AttributedGraph`."""
+        return self.save_graph(name, csr)
 
-        The ingestion counterpart of :meth:`save_graph`: edge rows come
-        straight from :meth:`CSRGraph.edge_array` and the fingerprint
-        from :func:`~repro.graph.ingest.csr_fingerprint`, so a
-        million-edge ingested graph persists without ever materialising
-        dict adjacency.  The frozen CSR arrays are stored alongside
-        (:meth:`save_csr`), so a later :meth:`load_csr` skips the
-        rebuild too.  :meth:`load_graph` of the same name verifies the
-        fingerprint — the two paths are byte-compatible.
+    def load_graph(self, name: str) -> CSRGraph:
+        """The stored graph: its snapshot with the pending edit-log
+        entries replayed, verified against the stored fingerprint.
+
+        Raises :class:`StoreError` when there is no such graph, when the
+        snapshot's arrays are not a canonical CSR or fail to decode, when
+        a pending log payload fails to decode or apply, and when the
+        result's fingerprint differs from the stored one.
         """
-        from repro.graph.ingest import csr_fingerprint
-
-        fp = csr_fingerprint(csr)
-        now = time.time()
-        n = csr.vertex_count
-        attr_rows = [
-            (name, u, encode_attribute(csr.attribute(u)))
-            for u in csr.vertices()
-            if csr.has_attribute(u)
-        ]
-        labels: Optional[List[str]] = [csr.label(u) for u in csr.vertices()]
-        if labels == [str(u) for u in range(n)]:
-            labels = None
-        eu, ev = csr.edge_array()
-        with self._lock, self._conn:
-            row = self._conn.execute(
-                "SELECT n, fingerprint FROM graphs WHERE name = ?", (name,)
-            ).fetchone()
-            unchanged = row is not None and row[0] == n and row[1] == fp
-        if unchanged:
-            self.save_csr(name, csr, fp)
-            return fp
-        with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT INTO graphs (name, n, fingerprint, created, updated) "
-                "VALUES (?, ?, ?, ?, ?) "
-                "ON CONFLICT(name) DO UPDATE SET "
-                "n = excluded.n, fingerprint = excluded.fingerprint, "
-                "updated = excluded.updated",
-                (name, n, fp, now, now),
-            )
-            for table in ("edges", "attributes", "labels"):
-                self._conn.execute(
-                    f"DELETE FROM {table} WHERE graph = ?", (name,)
-                )
-            self._conn.executemany(
-                "INSERT INTO edges (graph, u, v) VALUES (?, ?, ?)",
-                ((name, int(u), int(v))
-                 for u, v in zip(eu.tolist(), ev.tolist())),
-            )
-            self._conn.executemany(
-                "INSERT INTO attributes (graph, vertex, value) VALUES (?, ?, ?)",
-                attr_rows,
-            )
-            if labels is not None:
-                self._conn.executemany(
-                    "INSERT INTO labels (graph, vertex, label) VALUES (?, ?, ?)",
-                    ((name, u, label) for u, label in enumerate(labels)),
-                )
-        self.save_csr(name, csr, fp)
-        return fp
-
-    def load_graph(self, name: str) -> AttributedGraph:
-        """Rebuild a stored graph (verifies the stored fingerprint)."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT n, fingerprint FROM graphs WHERE name = ?", (name,)
+                "SELECT n, fingerprint, snapshot_seq, labels, arrays "
+                "FROM graphs WHERE name = ?",
+                (name,),
             ).fetchone()
             if row is None:
                 raise StoreError(f"no stored graph named {name!r}")
-            n, fp = row
-            edges = self._conn.execute(
-                "SELECT u, v FROM edges WHERE graph = ? ORDER BY u, v", (name,)
+            n, fp, snapshot_seq, labels, blob = row
+            pending = self._conn.execute(
+                "SELECT payload FROM edits WHERE graph = ? AND seq > ? "
+                "ORDER BY seq",
+                (name, snapshot_seq),
             ).fetchall()
-            attrs = self._conn.execute(
-                "SELECT vertex, value FROM attributes WHERE graph = ?", (name,)
-            ).fetchall()
-            label_rows = self._conn.execute(
-                "SELECT vertex, label FROM labels WHERE graph = ? "
-                "ORDER BY vertex",
-                (name,),
-            ).fetchall()
-        labels: Optional[List[str]] = None
-        if label_rows:
-            labels = [str(u) for u in range(n)]
-            for u, label in label_rows:
-                labels[u] = label
-        graph = AttributedGraph(n, edges, labels=labels)
-        for u, value in attrs:
-            graph.set_attribute(u, decode_attribute(value))
-        actual = graph_fingerprint(graph)
+        try:
+            graph = _snapshot_graph(n, _unpack_arrays(blob), labels)
+            graph.validate()
+            for (payload,) in pending:
+                graph = apply_edit(graph, **decode_edit(payload))
+            actual = csr_fingerprint(graph)
+        except (StoreError, *_DECODE_ERRORS) as exc:
+            raise StoreError(
+                f"stored graph {name!r} does not decode: {exc}"
+            ) from None
         if actual != fp:
             raise StoreError(
                 f"stored graph {name!r} fails its fingerprint check "
@@ -354,56 +390,28 @@ class GraphStore:
             )
         return graph
 
+    def load_csr(self, name: str, graph: Optional[CSRGraph] = None) -> CSRGraph:
+        """The stored CSR form of ``name``.
+
+        ``graph``, when given, must be what :meth:`load_graph` returned
+        for ``name``: that is the CSR form already, so it is returned
+        as is — no second blob read or fingerprint.  Without it, this is
+        :meth:`load_graph`.
+        """
+        if isinstance(graph, CSRGraph):
+            return graph
+        return self.load_graph(name)
+
     def delete_graph(self, name: str) -> None:
         """Remove a graph and every derived/log row under its name."""
         with self._lock, self._conn:
-            for table in (
-                "graphs", "edges", "attributes", "labels", "csr",
-                "edge_metrics", "results", "edits",
-            ):
+            for table in ("graphs", "edge_metrics", "results", "edits"):
                 self._conn.execute(
                     f"DELETE FROM {table} WHERE "
                     + ("name" if table == "graphs" else "graph")
                     + " = ?",
                     (name,),
                 )
-
-    # ------------------------------------------------------------------
-    # Derived rows: CSR arrays
-    # ------------------------------------------------------------------
-    def save_csr(self, name: str, csr: CSRGraph, fingerprint: str) -> None:
-        """Persist a graph's frozen CSR arrays under its fingerprint."""
-        blob = _pack_arrays({"indptr": csr.indptr, "indices": csr.indices})
-        with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO csr (graph, fingerprint, arrays) "
-                "VALUES (?, ?, ?)",
-                (name, fingerprint, blob),
-            )
-
-    def load_csr(self, name: str, graph: AttributedGraph) -> Optional[CSRGraph]:
-        """The stored CSR form of ``name``, or ``None`` when absent/stale.
-
-        ``graph`` supplies attributes and labels (CSR snapshots both);
-        it must be the graph loaded from this store under ``name``.
-        """
-        with self._lock:
-            fp = self.fingerprint(name)
-            row = self._conn.execute(
-                "SELECT fingerprint, arrays FROM csr WHERE graph = ?", (name,)
-            ).fetchone()
-        if row is None or row[0] != fp:
-            return None
-        arrays = _unpack_arrays(row[1])
-        attributes = {
-            u: graph.attribute(u)
-            for u in graph.vertices()
-            if graph.has_attribute(u)
-        }
-        labels = [graph.label(u) for u in graph.vertices()]
-        if labels == [str(u) for u in graph.vertices()]:
-            labels = None
-        return CSRGraph(arrays["indptr"], arrays["indices"], attributes, labels)
 
     # ------------------------------------------------------------------
     # Derived rows: edge-metric values
@@ -417,8 +425,6 @@ class GraphStore:
         fingerprint: str,
     ) -> None:
         """Persist one :class:`EdgeSimilarityCache` payload."""
-        import json
-
         arrays = {
             key: value for key, value in payload.items()
             if isinstance(value, np.ndarray)
@@ -444,8 +450,6 @@ class GraphStore:
         Returns ``(metric_name, backend, payload)`` triples; stale rows
         are silently skipped.
         """
-        import json
-
         with self._lock:
             fp = self.fingerprint(name)
             rows = self._conn.execute(
@@ -518,7 +522,7 @@ class GraphStore:
         with self._lock, self._conn:
             fp = self.fingerprint(name)
             removed = 0
-            for table in ("csr", "edge_metrics", "results"):
+            for table in ("edge_metrics", "results"):
                 cur = self._conn.execute(
                     f"DELETE FROM {table} WHERE graph = ? AND fingerprint != ?",
                     (name, fp),
@@ -539,36 +543,22 @@ class GraphStore:
         remove_edges: Sequence[Tuple[int, int]] = (),
         attributes: Optional[Dict[int, Any]] = None,
     ) -> int:
-        """Apply one batch edit to the stored graph and append to the log.
+        """Append one batch edit to the log and advance the fingerprint.
 
-        The canonical graph rows are patched in place (no full rewrite),
-        the graph's fingerprint advances to ``new_fingerprint`` — which
-        implicitly stops every derived row computed on the old graph
-        from being served — and the edit joins the persistent log.
-        Returns the edit's sequence number.
+        ``payload`` is the edit's :func:`~repro.store.codec.encode_edit`
+        text and ``new_fingerprint`` the fingerprint of the graph after
+        it.  The snapshot is not touched — :meth:`load_graph` replays the
+        payload — and the advanced fingerprint stops every derived row
+        computed on the old graph from being served.  The keyword
+        arguments are the payload's decoded parts, accepted from callers
+        that pass both; the log records ``payload`` alone.  Returns the
+        edit's sequence number.
         """
+        decode_edit(payload)  # refuse a payload the replay could not read
         now = time.time()
         with self._lock, self._conn:
             if not self.has_graph(name):
                 raise StoreError(f"no stored graph named {name!r}")
-            for u, v in remove_edges:
-                lo, hi = (u, v) if u < v else (v, u)
-                self._conn.execute(
-                    "DELETE FROM edges WHERE graph = ? AND u = ? AND v = ?",
-                    (name, lo, hi),
-                )
-            for u, v in add_edges:
-                lo, hi = (u, v) if u < v else (v, u)
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO edges (graph, u, v) VALUES (?, ?, ?)",
-                    (name, lo, hi),
-                )
-            for u, value in (attributes or {}).items():
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO attributes (graph, vertex, value) "
-                    "VALUES (?, ?, ?)",
-                    (name, u, encode_attribute(value)),
-                )
             seq_row = self._conn.execute(
                 "SELECT COALESCE(MAX(seq), 0) + 1 FROM edits WHERE graph = ?",
                 (name,),
@@ -605,7 +595,8 @@ class GraphStore:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Row counts per table (the service's cache-stats endpoint)."""
+        """Row counts per table plus the snapshots' total edge count (the
+        service's cache-stats endpoint)."""
         with self._lock:
             out: Dict[str, Any] = {"path": self._path}
             for table in _TABLES:
@@ -615,4 +606,8 @@ class GraphStore:
                     f"SELECT COUNT(*) FROM {table}"
                 ).fetchone()
                 out[table] = int(row[0])
+            row = self._conn.execute(
+                "SELECT COALESCE(SUM(m), 0) FROM graphs"
+            ).fetchone()
+            out["edges"] = int(row[0])
             return out

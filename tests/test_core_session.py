@@ -30,6 +30,7 @@ from repro.datasets.planted import planted_communities
 from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
+from repro.graph.io import graph_fingerprint
 from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.metrics import MetricKind
 from repro.similarity.threshold import SimilarityPredicate
@@ -582,3 +583,69 @@ class TestLazyComponentForms:
         for st in (stats, mstats):
             assert st.nodes == 0
             assert st.cache_misses == 0
+        assert warm._graph is None  # served from the loaded CSR alone
+
+
+class TestCSRPrimarySession:
+    """A CSR-given or loaded session builds its dict graph only on demand."""
+
+    POINTS = [(4, 4.9), (5, 4.0), (4, 3.5)]
+
+    def test_csr_session_never_thaws_for_csr_queries(self, monkeypatch):
+        csr = freeze_graph(geosocial_network(2500, seed=3))
+
+        def refuse(self):
+            raise AssertionError("a csr query built the dict graph")
+
+        monkeypatch.setattr(CSRGraph, "to_attributed", refuse)
+        session = KRCoreSession(csr, metric="euclidean")
+        for k, r in self.POINTS:
+            session.statistics(k, r)
+            session.maximum(k, r)
+        assert session._graph is None
+        assert krcore_statistics(csr, 4, 4.9, metric="euclidean") == \
+            session.statistics(4, 4.9)
+
+    def test_load_stays_lazy_and_edits_match_a_dict_session(self, tmp_path):
+        graph = geosocial_network(2500, seed=3)
+        db = str(tmp_path / "store.db")
+        with GraphStore(db) as store:
+            fp = store.save_graph("geo", graph)
+            session = KRCoreSession.load(store, "geo", metric="euclidean")
+        # The dict-graph session a row-by-row loader used to hand back.
+        reference = KRCoreSession(graph, metric="euclidean")
+        for k, r in self.POINTS:
+            assert session.statistics(k, r) == reference.statistics(k, r)
+            assert session.maximum(k, r).size == reference.maximum(k, r).size
+        assert session._graph is None
+
+        thawed = session.graph
+        assert thawed.vertex_count == graph.vertex_count
+        assert sorted(thawed.edges()) == sorted(graph.edges())
+        assert all(
+            thawed.attribute(u) == graph.attribute(u) for u in graph.vertices()
+        )
+        assert [thawed.label(u) for u in thawed.vertices()] == [
+            graph.label(u) for u in graph.vertices()
+        ]
+        assert graph_fingerprint(thawed) == fp
+
+        # Edits after the load: maintained exactly as on the dict session.
+        u, v = next(iter(graph.edges()))
+        w = next(x for x in graph.vertices() if not graph.has_edge(u, x) and x != u)
+        edits = [
+            {"remove_edges": [(u, v)]},
+            {"add_edges": [(u, w)]},
+            {"attributes": {v: (1.0, 2.0)}},
+        ]
+        for edit in edits:
+            assert session.edit(**edit) == reference.edit(**edit)
+            assert session.maintenance_stats.to_dict() == \
+                reference.maintenance_stats.to_dict()
+            for k, r in self.POINTS:
+                assert session.statistics(k, r) == reference.statistics(k, r)
+                got, want = session.maximum(k, r), reference.maximum(k, r)
+                assert (got.size if got else 0) == (want.size if want else 0)
+        assert session.maintenance_stats.maintained == len(edits)
+        assert graph_fingerprint(session.graph) == \
+            graph_fingerprint(reference.graph)

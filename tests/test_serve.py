@@ -205,6 +205,34 @@ class TestEditsAndFlush:
         log = service.handle("g", "edits", {})
         assert len(log["edits"]) == 1
 
+    @pytest.mark.parametrize("present", [False, True])
+    def test_cancelling_edit_reloads_from_a_fresh_store(self, stored, present):
+        # One batch inserts and deletes the same pair.  The session runs
+        # adds before removes, and so must the store's log replay — or
+        # the next load fails its fingerprint check (absent pair) or
+        # serves an edge the session deleted (present pair).
+        g = service_graph()
+        u, v = next(
+            (a, b) for a in g.vertices() for b in g.vertices()
+            if a < b and g.has_edge(a, b) == present
+        )
+        edit = {"add_edges": [[u, v]], "remove_edges": [[u, v]]}
+        svc = KRCoreService(GraphStore(stored))
+        try:
+            out = svc.handle("g", "edit", edit)
+            assert out["changed"] is True
+            direct = KRCoreSession(g)
+            direct.edit(add_edges=[(u, v)], remove_edges=[(u, v)])
+            with GraphStore(stored) as store:  # not flushed: the log replays
+                reloaded = KRCoreSession.load(store, "g")
+                assert reloaded.graph.has_edge(u, v) is False
+                for k, r in [(2, 0.3), (2, 0.5), (3, 0.3)]:
+                    assert as_sorted_sets(reloaded.enumerate(k, r)) == \
+                        as_sorted_sets(direct.enumerate(k, r))
+                    assert reloaded.statistics(k, r) == direct.statistics(k, r)
+        finally:
+            svc.close()
+
     def test_noop_edit_reports_unchanged(self, service):
         out = service.handle("g", "edit", {"add_edges": [], "remove_edges": []})
         assert out["changed"] is False

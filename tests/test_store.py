@@ -2,6 +2,7 @@
 
 import sqlite3
 
+import numpy as np
 import pytest
 
 from conftest import as_sorted_sets, make_geo_graph, make_random_attr_graph
@@ -10,9 +11,11 @@ from repro.core.session import KRCoreSession
 from repro.exceptions import StoreError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
+from repro.graph.ingest import csr_fingerprint
 from repro.graph.io import graph_fingerprint
 from repro.similarity.metrics import _METRIC_NAMES
-from repro.store import GraphStore, codec
+from repro.store import SCHEMA_VERSION, GraphStore, codec
+from repro.store.store import _pack_arrays, _unpack_arrays
 
 BACKENDS = ("python", "csr")
 
@@ -149,34 +152,32 @@ class TestGraphStore:
             assert not store.has_graph("a")
             assert [row["name"] for row in store.list_graphs()] == ["b"]
 
-    def test_tampered_rows_refused(self, db):
-        with GraphStore(db) as store:
-            store.save_graph("g", small_attr_graph())
-        raw = sqlite3.connect(db)
-        raw.execute(
-            "DELETE FROM edges WHERE rowid IN "
-            "(SELECT rowid FROM edges WHERE graph='g' LIMIT 1)"
-        )
-        raw.commit()
-        raw.close()
-        with GraphStore(db) as store:
-            with pytest.raises(StoreError):
-                store.load_graph("g")
-
-    def test_csr_round_trip_and_staleness(self, db):
+    def test_snapshot_round_trip_is_array_exact(self, db):
         g = small_attr_graph()
-        csr = CSRGraph.from_attributed(g)
+        want = CSRGraph.from_attributed(g)
         with GraphStore(db) as store:
             fp = store.save_graph("g", g)
-            store.save_csr("g", csr, fp)
-            back = store.load_csr("g", g)
-            assert back is not None
-            assert back.vertex_count == csr.vertex_count
-            assert back.edge_count == csr.edge_count
-            # advancing the stored fingerprint makes the CSR stale
+            back = store.load_graph("g")
+            assert isinstance(back, CSRGraph)
+            np.testing.assert_array_equal(back.indptr, want.indptr)
+            np.testing.assert_array_equal(back.indices, want.indices)
+            assert back._attributes == want._attributes
+            assert csr_fingerprint(back) == fp
+            # load_csr hands back the loaded graph: no second read
+            assert store.load_csr("g", back) is back
+            # a re-save of changed content serves the new arrays and
+            # stops serving the derived rows of the old graph
+            store.save_edge_metric(
+                "g", "jaccard", "csr", {"values": np.zeros(4)}, fp,
+            )
+            store.save_results("g", [("k", "v")], fp)
             g.add_edge(3, 4)
-            store.save_graph("g", g)
-            assert store.load_csr("g", g) is None
+            fp2 = store.save_graph("g", g)
+            assert fp2 != fp
+            assert store.load_graph("g").has_edge(3, 4)
+            assert store.load_edge_metrics("g") == []
+            assert store.load_results("g") == []
+            assert store.prune("g") == 2
 
     def test_results_keyed_by_fingerprint(self, db):
         with GraphStore(db) as store:
@@ -488,3 +489,366 @@ class TestSaveCSRGraph:
             session = KRCoreSession.load(store, "g")
             cores = session.enumerate(2, 0.0, metric="jaccard")
             assert isinstance(cores, list)
+
+
+# ----------------------------------------------------------------------
+# Snapshot + edit log: round trips, replay, tampering, old layouts
+# ----------------------------------------------------------------------
+
+def _points_graph(make_point):
+    g = AttributedGraph(4, edges=[(0, 1), (1, 2), (2, 3)])
+    for u in range(4):
+        g.set_attribute(u, make_point(u))
+    return g
+
+
+def _int_points():
+    return _points_graph(lambda u: (u, 2 * u))
+
+
+def _list_points():
+    return _points_graph(lambda u: [u + 0.5, -1.25 * u])
+
+
+def _sets_with_an_int_point():
+    g = small_attr_graph()
+    g.set_attribute(4, (3, 4))  # a point in an otherwise non-point graph
+    return g
+
+
+def _counters():
+    g = AttributedGraph(3, edges=[(0, 1), (1, 2)])
+    g.set_attribute(0, {"x": 2, "y": 1.5})
+    g.set_attribute(1, {})
+    g.set_attribute(2, {1: 3})
+    return g
+
+
+def _custom_labels():
+    g = AttributedGraph(3, edges=[(0, 2)], labels=["alice", "bob", 'c "q"'])
+    g.set_attribute(0, frozenset({"a"}))
+    return g
+
+
+def _attributeless():
+    return AttributedGraph(12, edges=[(0, 11), (9, 10)])
+
+
+def _empty():
+    return AttributedGraph(0)
+
+
+ROUND_TRIPS = {
+    "int-points": _int_points,
+    "list-points": _list_points,
+    "sets-and-an-int-point": _sets_with_an_int_point,
+    "counters": _counters,
+    "custom-labels": _custom_labels,
+    "attributeless": _attributeless,
+    "n=0": _empty,
+}
+
+
+def _stored_value(value):
+    """What a stored attribute loads back as."""
+    return codec.decode_attribute(codec.encode_attribute(value))
+
+
+class TestSnapshotRoundTrip:
+    @pytest.mark.parametrize("make", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+    def test_save_load_round_trip(self, db, make):
+        g = make()
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", g)
+        with GraphStore(db) as store:
+            back = store.load_graph("g")
+            session = KRCoreSession.load(store, "g")
+        assert back.vertex_count == g.vertex_count
+        assert sorted(back.edges()) == sorted(
+            tuple(sorted(e)) for e in g.edges()
+        )
+        assert [back.label(u) for u in back.vertices()] == [
+            g.label(u) for u in g.vertices()
+        ]
+        for u in g.vertices():
+            assert back.has_attribute(u) == g.has_attribute(u)
+            if g.has_attribute(u):
+                assert back.attribute(u) == _stored_value(g.attribute(u))
+        # the stored fingerprint is the loaded graph's, in both hashers
+        assert fp == csr_fingerprint(back)
+        assert fp == graph_fingerprint(back.to_attributed())
+        assert graph_fingerprint(session.graph) == fp
+
+    def test_int_points_store_their_float_pairs(self, db):
+        with GraphStore(db) as store:
+            store.save_graph("g", _int_points())
+            back = store.load_graph("g")
+        assert back.attribute(3) == (3.0, 6.0)
+        assert all(type(c) is float for c in back.attribute(3))
+        # the point column seeds the geo cache directly
+        np.testing.assert_array_equal(back.geo_points()[3], [3.0, 6.0])
+
+    def test_resave_folds_pending_edits_into_a_new_snapshot(self, db):
+        g = small_attr_graph()
+        with GraphStore(db) as store:
+            store.save_graph("g", g)
+            g.add_edge(3, 4)
+            fp = graph_fingerprint(g)
+            store.record_edit("g", codec.encode_edit([(3, 4)], [], {}), fp)
+            assert store.list_graphs()[0]["pending_edits"] == 1
+            assert store.save_graph("g", g) == fp
+            assert store.list_graphs()[0]["pending_edits"] == 0
+            assert store.list_graphs()[0]["m"] == g.edge_count
+            # the folded entry stays in the log as history, and the
+            # snapshot no longer needs it
+            assert len(store.edit_log("g")) == 1
+        raw = sqlite3.connect(db)
+        raw.execute("UPDATE edits SET payload = 'garbage'")
+        raw.commit()
+        raw.close()
+        with GraphStore(db) as store:
+            assert store.load_graph("g").has_edge(3, 4)
+
+    def test_replay_applies_edits_in_session_order(self, db):
+        # Inserting and deleting the same edge in one batch: adds run
+        # first, so the edge ends up absent — for the session and the
+        # log replay alike; an existing edge re-added and removed goes.
+        g = small_attr_graph()
+        session = KRCoreSession(g)
+        edit = {"add_edges": [(0, 3), (0, 1)], "remove_edges": [(0, 3), (0, 1)]}
+        with GraphStore(db) as store:
+            store.save_graph("g", g)
+            assert session.edit(**edit)
+            fp = graph_fingerprint(session.graph)
+            store.record_edit("g", codec.encode_edit(**edit), fp)
+            back = store.load_graph("g")
+        assert not back.has_edge(0, 3) and not back.has_edge(0, 1)
+        assert graph_fingerprint(back) == fp
+
+
+def _rewrite_arrays(db, mutate):
+    raw = sqlite3.connect(db)
+    (blob,) = raw.execute("SELECT arrays FROM graphs WHERE name = 'g'").fetchone()
+    arrays = _unpack_arrays(blob)
+    mutate(arrays)
+    raw.execute(
+        "UPDATE graphs SET arrays = ? WHERE name = 'g'", (_pack_arrays(arrays),)
+    )
+    raw.commit()
+    raw.close()
+
+
+def _set(name, index, value):
+    def mutate(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+    return mutate
+
+
+def _drop(name):
+    def mutate(arrays):
+        del arrays[name]
+    return mutate
+
+
+def _geo_triangle_path():
+    # 0-1-2 triangle plus the path 2-3-4; every vertex a geo point
+    g = AttributedGraph(5, edges=[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    for u in range(5):
+        g.set_attribute(u, (float(u), 0.5 * u))
+    return g
+
+
+#: (graph, tamper) pairs; every one changes the stored content.
+TAMPERS = {
+    "indptr-offset": (_geo_triangle_path, _set("indptr", 2, 3)),
+    "indptr-length": (_geo_triangle_path, _set("indptr", 5, 9)),
+    "upper-entry": (_geo_triangle_path, _set("indices", 0, 3)),
+    # a lower (v -> u, u < v) entry is invisible to the fingerprint's
+    # edge records; the symmetry check must catch it
+    "lower-entry": (_geo_triangle_path, _set("indices", 7, 1)),
+    "out-of-range-id": (_geo_triangle_path, _set("indices", 9, 7)),
+    "self-loop": (_geo_triangle_path, _set("indices", 9, 4)),
+    "point-value": (_geo_triangle_path, _set("points", (2, 1), 9.0)),
+    "point-id": (_geo_triangle_path, _set("point_ids", 4, 0)),
+    "missing-array": (_geo_triangle_path, _drop("indices")),
+    "encoded-value": (small_attr_graph, _set("attr_codes", 9, ord("c"))),
+    "encoded-id": (small_attr_graph, _set("attr_ids", 0, 4)),
+}
+
+
+class TestTamperRefused:
+    @pytest.mark.parametrize("case", list(TAMPERS))
+    def test_changed_array_element_refused(self, db, case):
+        make, mutate = TAMPERS[case]
+        with GraphStore(db) as store:
+            store.save_graph("g", make())
+            store.load_graph("g")  # untampered: loads
+        _rewrite_arrays(db, mutate)
+        with GraphStore(db) as store:
+            with pytest.raises(StoreError):
+                store.load_graph("g")
+            with pytest.raises(StoreError):
+                KRCoreSession.load(store, "g")
+
+    def test_garbage_blob_refused(self, db):
+        with GraphStore(db) as store:
+            store.save_graph("g", small_attr_graph())
+        raw = sqlite3.connect(db)
+        raw.execute("UPDATE graphs SET arrays = x'00ff00ff'")
+        raw.commit()
+        raw.close()
+        with GraphStore(db) as store:
+            with pytest.raises(StoreError):
+                store.load_graph("g")
+
+    def _with_pending_edit(self, db):
+        g = small_attr_graph()
+        with GraphStore(db) as store:
+            store.save_graph("g", g)
+            g.add_edge(3, 4)
+            store.record_edit(
+                "g", codec.encode_edit([(3, 4)], [], {}), graph_fingerprint(g)
+            )
+            assert store.load_graph("g").has_edge(3, 4)
+
+    @pytest.mark.parametrize("payload", [
+        codec.encode_edit([(1, 4)], [], {}),          # a different edit
+        codec.encode_edit([(3, 4)], [], {0: frozenset()}),
+        '{"add_edges": [[3, 4]]',                     # malformed JSON
+        codec.encode_edit([(3, 99)], [], {}),         # names no vertex
+    ])
+    def test_altered_edit_payload_refused(self, db, payload):
+        self._with_pending_edit(db)
+        raw = sqlite3.connect(db)
+        raw.execute("UPDATE edits SET payload = ?", (payload,))
+        raw.commit()
+        raw.close()
+        with GraphStore(db) as store:
+            with pytest.raises(StoreError):
+                store.load_graph("g")
+
+    def test_deleted_edit_payload_refused(self, db):
+        self._with_pending_edit(db)
+        raw = sqlite3.connect(db)
+        raw.execute("DELETE FROM edits")
+        raw.commit()
+        raw.close()
+        with GraphStore(db) as store:
+            with pytest.raises(StoreError):
+                store.load_graph("g")
+
+    def test_unreadable_payload_never_logged(self, db):
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", small_attr_graph())
+            with pytest.raises(StoreError):
+                store.record_edit("g", "not json", "0" * 64)
+            assert store.edit_log("g") == []
+            assert store.fingerprint("g") == fp
+
+    def test_stale_derived_rows_never_served(self, db):
+        g = small_attr_graph()
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", g)
+            store.save_edge_metric(
+                "g", "jaccard", "csr", {"values": np.zeros(4)}, fp,
+            )
+            store.save_results("g", [("k", "v")], fp)
+            # rows under another graph's fingerprint are skipped outright
+            store.save_edge_metric(
+                "g", "euclidean", "csr", {"values": np.zeros(4)}, "f" * 64,
+            )
+            store.save_results("g", [("k2", "v2")], "f" * 64)
+            assert [m for m, _, _ in store.load_edge_metrics("g")] == ["jaccard"]
+            assert store.load_results("g") == [("k", "v")]
+            # an edit moves the fingerprint on: every old row goes stale
+            g.add_edge(3, 4)
+            store.record_edit(
+                "g", codec.encode_edit([(3, 4)], [], {}), graph_fingerprint(g)
+            )
+            assert store.load_edge_metrics("g") == []
+            assert store.load_results("g") == []
+            warm = KRCoreSession.load(store, "g")
+            assert warm.cache_stats()["results"]["size"] == 0
+            assert warm.cache_stats()["edge_values"]["size"] == 0
+
+
+def _write_v1_database(path):
+    """A database in the version-1 layout: a row per edge, attribute
+    and label, plus a CSR blob, an edge-metric row and a result row."""
+    g = small_attr_graph()
+    fp = graph_fingerprint(g)
+    raw = sqlite3.connect(path)
+    raw.executescript(
+        "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+        "CREATE TABLE graphs (name TEXT PRIMARY KEY, n INTEGER NOT NULL, "
+        "fingerprint TEXT NOT NULL, created REAL NOT NULL, "
+        "updated REAL NOT NULL);"
+        "CREATE TABLE edges (graph TEXT NOT NULL, u INTEGER NOT NULL, "
+        "v INTEGER NOT NULL, PRIMARY KEY (graph, u, v));"
+        "CREATE TABLE attributes (graph TEXT NOT NULL, vertex INTEGER "
+        "NOT NULL, value TEXT NOT NULL, PRIMARY KEY (graph, vertex));"
+        "CREATE TABLE labels (graph TEXT NOT NULL, vertex INTEGER NOT NULL,"
+        " label TEXT NOT NULL, PRIMARY KEY (graph, vertex));"
+        "CREATE TABLE csr (graph TEXT PRIMARY KEY, fingerprint TEXT NOT "
+        "NULL, arrays BLOB NOT NULL);"
+        "CREATE TABLE edge_metrics (graph TEXT NOT NULL, metric TEXT NOT "
+        "NULL, backend TEXT NOT NULL, fingerprint TEXT NOT NULL, meta TEXT "
+        "NOT NULL, arrays BLOB, PRIMARY KEY (graph, metric, backend));"
+        "CREATE TABLE results (graph TEXT NOT NULL, key TEXT NOT NULL, "
+        "fingerprint TEXT NOT NULL, value TEXT NOT NULL, "
+        "PRIMARY KEY (graph, key));"
+        "CREATE TABLE edits (graph TEXT NOT NULL, seq INTEGER NOT NULL, "
+        "applied REAL NOT NULL, payload TEXT NOT NULL, fingerprint TEXT "
+        "NOT NULL, PRIMARY KEY (graph, seq));"
+        "INSERT INTO meta VALUES ('schema_version', '1');"
+    )
+    raw.execute("INSERT INTO graphs VALUES ('g', 5, ?, 0, 0)", (fp,))
+    raw.executemany(
+        "INSERT INTO edges VALUES ('g', ?, ?)", sorted(g.edges())
+    )
+    raw.executemany(
+        "INSERT INTO attributes VALUES ('g', ?, ?)",
+        [(u, codec.encode_attribute(g.attribute(u)))
+         for u in g.vertices() if g.has_attribute(u)],
+    )
+    raw.execute("INSERT INTO csr VALUES ('g', ?, x'00')", (fp,))
+    raw.execute(
+        "INSERT INTO edge_metrics VALUES ('g', 'jaccard', 'csr', ?, '{}', "
+        "NULL)", (fp,),
+    )
+    raw.execute("INSERT INTO results VALUES ('g', 'k', ?, 'v')", (fp,))
+    raw.commit()
+    raw.close()
+
+
+class TestOldSchema:
+    def test_v1_database_rebuilt_and_serves_nothing(self, db):
+        _write_v1_database(db)
+        with GraphStore(db) as store:
+            assert store.list_graphs() == []
+            assert not store.has_graph("g")
+            for load in (store.load_graph, store.load_results,
+                         store.load_edge_metrics, store.fingerprint):
+                with pytest.raises(StoreError):
+                    load("g")
+            with pytest.raises(StoreError):
+                KRCoreSession.load(store, "g")
+            tables = {
+                name for (name,) in store._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+        assert tables == {"meta", "graphs", "edge_metrics", "results", "edits"}
+        raw = sqlite3.connect(db)
+        assert raw.execute("SELECT COUNT(*) FROM results").fetchone() == (0,)
+        assert raw.execute("SELECT COUNT(*) FROM edge_metrics").fetchone() == (0,)
+        assert raw.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone() == (str(SCHEMA_VERSION),)
+        raw.close()
+        # the rebuilt store takes new graphs as usual
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", small_attr_graph())
+            assert store.load_graph("g").vertex_count == 5
+            assert store.fingerprint("g") == fp
