@@ -35,6 +35,11 @@ Per-family hardness is reported from the deterministic
 :class:`~repro.core.stats.SearchStats` counters (see
 ``HARDNESS_WEIGHTS`` in :mod:`repro.datasets.adversarial`): score =
 nodes + check_nodes + 5*bound_calls + 2*maximal_checks.
+
+Every case also runs a looser-threshold check (see
+:mod:`repro.fuzz.differential`); the sweep prints how many of those
+checks took the threshold-seeded path and fails (exit 4) when a sweep
+of at least 200 configs took none — the check would have gone dead.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ def run_sweep(args) -> int:
     failures = []
     started = time.monotonic()
     completed = 0
+    seeded = 0
     truncated = False
     for i in range(args.configs):
         if args.time_budget and time.monotonic() - started > args.time_budget:
@@ -106,6 +112,7 @@ def run_sweep(args) -> int:
         )
         result = run_case(case, args.oracle_limit)
         completed += 1
+        seeded += result.threshold_seeded
         counts[case.family] += 1
         if result.oracle_used:
             oracle_counts[case.family] += 1
@@ -129,6 +136,7 @@ def run_sweep(args) -> int:
             f"{family:>16} {counts[family]:>6} {oracle_counts[family]:>7} "
             f"{sum(vals) / len(vals):>14.0f} {max(vals):>8.0f}"
         )
+    print(f"looser-threshold checks on the seeded path: {seeded}/{completed}")
     if failures:
         print(f"\nFAIL: {len(failures)} disagreement(s); repros:")
         for path in failures:
@@ -144,6 +152,9 @@ def run_sweep(args) -> int:
             "coverage guarantee not met"
         )
         return 3
+    if not seeded and completed >= DEFAULT_SWEEP_CONFIGS:
+        print("\nFAIL: no looser-threshold check took the seeded path")
+        return 4
     if args.edit_streams:
         print("\nok: zero maintained-vs-fresh disagreements")
     else:

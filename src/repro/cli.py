@@ -281,7 +281,8 @@ def _print_sweep(args, ks: List[int], rs: Optional[List[float]]) -> int:
     solves = stats.cache_hits + stats.cache_misses
     print(f"session reuse: {stats.cache_hits}/{solves} component results "
           f"from cache, {stats.reused_filters} filtered graphs, "
-          f"{stats.seeded_peels} seeded peels [{stats.elapsed:.2f}s]")
+          f"{stats.seeded_peels} seeded peels, "
+          f"{stats.threshold_seeds} threshold seeds [{stats.elapsed:.2f}s]")
     return 0
 
 

@@ -41,6 +41,12 @@ with work proportional to the *affected region* of a single edit:
    cache could award a size tie to a different (equally maximal)
    component than a fresh all-miss run would.
 
+Threshold-seeded entries — filtered graphs the session built inside a
+looser threshold's core, with their survivor sets and prepared
+components — are not patched: step 0 drops them and evicts their parts'
+``"max"`` entries under the same conservative rule (their signatures
+may die), and the next query re-derives them from a maintained seed.
+
 Every step is guarded: if an invariant does not hold (or an unexpected
 error surfaces), the maintainer reports failure and the session falls
 back to the old wholesale invalidation — equivalence between the two
@@ -120,8 +126,30 @@ def maintain_session(session, kind: str, u: int, v: Optional[int] = None) -> boo
     return ok
 
 
+def _drop_threshold_seeded(session, ms: MaintenanceStats) -> None:
+    """Step 0: drop every threshold-seeded filtered graph, its survivor
+    sets and prepared components, and the ``"max"`` entries of those
+    components (family-wide, as in step 4)."""
+    family_sigs = set()
+    for fkey in session._seeded_filters:
+        del session._filtered[fkey]
+        session._survivors.pop(fkey, None)
+        for pkey in [p for p in session._prepared if p[:3] == fkey]:
+            family_sigs.update(p.signature for p in session._prepared.pop(pkey))
+    session._seeded_filters.clear()
+    if family_sigs:
+        stale_keys = [
+            key for key in session._results
+            if key[0] == "max" and key[-1] in family_sigs
+        ]
+        for key in stale_keys:
+            session._results.pop(key)
+        ms.results_evicted += len(stale_keys)
+
+
 def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats) -> bool:
     graph = session.graph
+    _drop_threshold_seeded(session, ms)
 
     # ------------------------------------------------------------------
     # Classify: which vertex pairs can change a keep decision, and keep
@@ -210,13 +238,14 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         if filtered is None:
             return False
         backend = fkey[2]
-        for k, survivors in per_k.items():
+        for k, (survivors, size) in per_k.items():
             if (not adds and not rems) or inject_stale:
                 surv_deltas[(fkey, k)] = (set(), set())
                 continue
             gone, came = incremental_kcore_update(
                 filtered, k, survivors, adds, rems, backend
             )
+            per_k[k] = (survivors, size - len(gone) + len(came))
             surv_deltas[(fkey, k)] = (gone, came)
             ms.survivors_removed += len(gone)
             ms.survivors_added += len(came)
@@ -234,7 +263,7 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         per_k = session._survivors.get(fkey)
         if filtered is None or per_k is None or k not in per_k:
             return False
-        survivors = per_k[k]
+        survivors = per_k[k][0]
         if backend == "csr":
             def alive(x, _m=survivors):
                 return bool(_m[x])

@@ -11,9 +11,16 @@ graph once and serves repeated queries against layered caches:
   computed once (:class:`~repro.similarity.cache.EdgeSimilarityCache`);
   each threshold ``r`` re-*compares* instead of re-*computing*, and the
   resulting filtered graph is cached per ``(metric, r)``;
-* **survivor layer** — k-core peels are cached per ``(metric, r)`` and
-  warm-started from the largest cached smaller ``k`` (the k-core is
-  monotone, so seeding is lossless); each ``(metric, r, k)`` point's
+* **threshold seeding** — a looser threshold (larger distance, smaller
+  similarity) only adds edges and k-cores are nested, so the ``(k, r)``
+  core lies inside every cached core at ``k' <= k`` and a threshold at
+  least as loose.  A new point peels from the smallest such core, and a
+  new ``r`` on the csr backend filters only inside it — that core's rows
+  and edges, not the graph.  Such a restricted filtered graph records
+  its seed's ``k'`` and serves later queries at ``r`` only for
+  ``k >= k'``; an edit drops it and the next query re-derives it;
+* **survivor layer** — k-core peels are cached per ``(metric, r)``,
+  with their sizes, and seeded as above; each ``(metric, r, k)`` point's
   components, with their similar edges and dissimilar pairs (Algorithm 1
   lines 1–4), are cached with them, so repeating a point skips
   preprocessing entirely.  On the csr backend one batched pass
@@ -28,7 +35,7 @@ graph once and serves repeated queries against layered caches:
   the components an edit actually touches.
 
 All reuse is observable through the ``cache_hits`` / ``cache_misses`` /
-``reused_*`` / ``seeded_peels`` counters on
+``reused_*`` / ``seeded_peels`` / ``threshold_seeds`` counters on
 :class:`~repro.core.stats.SearchStats`.  Results are identical to the
 one-shot API on both backends; the one-shot functions are themselves
 thin wrappers over a throwaway session.  See README "Sessions and
@@ -52,6 +59,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.core.config import (
     QUERY_MODES,
@@ -100,11 +109,28 @@ from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph, edit_steps
 from repro.similarity.cache import EdgeSimilarityCache
+from repro.similarity.metrics import MetricKind
 from repro.similarity.threshold import SimilarityPredicate
 
 #: ``(metric callable, comparison direction)`` — the cache dimension a
 #: predicate contributes besides its threshold.
 MetricKey = Tuple[Callable, Any]
+
+
+def _positive_k(k: Any) -> int:
+    """``k`` as a plain ``int``, or :class:`InvalidParameterError`.
+
+    Integral values (``3``, ``np.int64(3)``, ``3.0``) normalise to
+    ``int`` before any cache key is made; ``bool`` and non-integral
+    values are refused rather than truncated.
+    """
+    try:
+        value = int(k)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if isinstance(k, (bool, np.bool_)) or value is None or value != k or value < 1:
+        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
+    return value
 
 
 def resolve_enumeration_setup(
@@ -266,7 +292,13 @@ class KRCoreSession:
         # Preprocessing caches — dropped wholesale after any edit.
         self._edge_values: Dict[Tuple[MetricKey, str], EdgeSimilarityCache] = {}
         self._filtered: Dict[Tuple[MetricKey, float, str], Any] = {}
-        self._survivors: Dict[Tuple[MetricKey, float, str], Dict[int, Any]] = {}
+        # Seed k' of each filtered graph built inside a looser threshold's
+        # core (serves only k >= k'); full filtered graphs are absent.
+        self._seeded_filters: Dict[Tuple[MetricKey, float, str], int] = {}
+        # Per (metric, r, backend): k -> (survivors, their count).
+        self._survivors: Dict[
+            Tuple[MetricKey, float, str], Dict[int, Tuple[Any, int]]
+        ] = {}
         self._prepared: Dict[Tuple, List[_PreparedComponent]] = {}
         # Cross-edit cache — guarded by component signatures.
         self._results: Dict[Tuple, Any] = {}
@@ -435,6 +467,7 @@ class KRCoreSession:
                 "preprocess": self.total_stats.reused_preprocess,
                 "filters": self.total_stats.reused_filters,
                 "seeded_peels": self.total_stats.seeded_peels,
+                "threshold_seeds": self.total_stats.threshold_seeds,
             },
             "maintenance": self.maintenance_stats.to_dict(),
         }
@@ -551,6 +584,7 @@ class KRCoreSession:
         if self._prep_version != self._version:
             self._edge_values.clear()
             self._filtered.clear()
+            self._seeded_filters.clear()
             self._survivors.clear()
             self._prepared.clear()
             self._prep_version = self._version
@@ -580,6 +614,7 @@ class KRCoreSession:
         queries are served from the session caches (observable via the
         stats reuse counters).
         """
+        k = _positive_k(k)
         predicate = self._resolve_predicate(r, metric, predicate)
         engine, cfg = resolve_enumeration_setup(
             algorithm, config if config is not None else self._default_config
@@ -608,6 +643,7 @@ class KRCoreSession:
         with_stats: bool = False,
     ):
         """The maximum (k,r)-core (``None`` when none exists)."""
+        k = _positive_k(k)
         predicate = self._resolve_predicate(r, metric, predicate)
         if config is not None:
             cfg = config
@@ -656,6 +692,7 @@ class KRCoreSession:
         Returns a :class:`~repro.core.results.MaximumOutcome` (or
         ``(outcome, stats)`` with ``with_stats=True``).
         """
+        k = _positive_k(k)
         predicate = self._resolve_predicate(r, metric, predicate)
         if config is not None:
             cfg = config
@@ -859,9 +896,10 @@ class KRCoreSession:
         """Statistics over the ``ks`` × ``rs`` grid, one row per point.
 
         Rows are emitted in request order (``for k in ks: for r in rs``)
-        but computed threshold-major with ``k`` ascending, so every ``k``
-        of a threshold shares one filtered graph and each peel seeds the
-        next.
+        but computed threshold-major, loosest threshold first, with ``k``
+        ascending: every ``k`` of a threshold shares one filtered graph,
+        each peel seeds the next, and every threshold after the first is
+        filtered inside the previous one's core (``threshold_seeds``).
         Each row is ``{"k", "r", "count", "max_size", "avg_size"}``.
 
         On the process executor the whole grid's uncached component
@@ -870,7 +908,7 @@ class KRCoreSession:
         pool pass; the per-point statistics loop then runs entirely from
         the result cache.  Rows are identical to the serial sweep.
         """
-        ks = list(ks)
+        ks = [_positive_k(k_) for k_ in ks]
         rs = list(rs)
         agg = SearchStats()
         engine, cfg = resolve_enumeration_setup(
@@ -880,7 +918,7 @@ class KRCoreSession:
         if make_executor(cfg) is not None:
             self._sweep_prefill(ks, rs, metric, predicate, engine, cfg, agg)
         rows_by: Dict[Tuple[int, float], Dict[str, float]] = {}
-        for r_ in rs:
+        for r_ in self._loosest_first(rs, metric, predicate):
             for k_ in sorted(set(ks)):
                 if (k_, r_) in rows_by:
                     continue
@@ -899,6 +937,19 @@ class KRCoreSession:
         if with_stats:
             return rows, agg
         return rows
+
+    def _loosest_first(
+        self,
+        rs: Sequence[float],
+        metric: Union[str, Callable, None],
+        predicate: Optional[SimilarityPredicate],
+    ) -> List[float]:
+        """The distinct thresholds of ``rs``, loosest first: descending
+        for a distance metric, ascending for a similarity."""
+        if not rs:
+            return []
+        kind = self._sweep_point_predicate(rs[0], metric, predicate).kind
+        return sorted(set(rs), reverse=kind is MetricKind.DISTANCE)
 
     def _sweep_point_predicate(
         self,
@@ -937,7 +988,7 @@ class KRCoreSession:
         fp = self._config_fingerprint(cfg)
         budget = Budget(cfg.time_limit, cfg.node_limit)
         pending: Dict[Tuple, Tuple[int, Any]] = {}
-        for r_ in rs:
+        for r_ in self._loosest_first(rs, metric, predicate):
             pred = self._sweep_point_predicate(r_, metric, predicate)
             for k_ in sorted(set(ks)):
                 for part in self._prepare(k_, pred, cfg.backend, agg):
@@ -1262,10 +1313,7 @@ class KRCoreSession:
         backend: str,
         stats: SearchStats,
     ) -> List[_PreparedComponent]:
-        if k < 1:
-            raise InvalidParameterError(
-                f"k must be a positive integer, got {k}"
-            )
+        k = _positive_k(k)
         self._ensure_fresh()
         mkey: MetricKey = (predicate.metric, predicate.kind)
         pkey = (mkey, predicate.r, backend, k)
@@ -1274,9 +1322,8 @@ class KRCoreSession:
             stats.reused_preprocess += 1
             stats.components = len(parts)
             return parts
-        filtered = self._filtered_graph(mkey, predicate, backend, stats)
-        survivors = self._survivor_set(
-            mkey, predicate, backend, filtered, k, stats
+        filtered, survivors = self._survivor_set(
+            mkey, predicate, backend, k, stats
         )
         parts = self._prepared_parts(predicate, backend, filtered, survivors)
         parts.sort(key=lambda part: -part.max_degree)  # stable: ties keep order
@@ -1355,47 +1402,89 @@ class KRCoreSession:
             return self._csr
         return self.graph
 
-    def _filtered_graph(
-        self,
-        mkey: MetricKey,
-        predicate: SimilarityPredicate,
-        backend: str,
-        stats: SearchStats,
-    ):
-        fkey = (mkey, predicate.r, backend)
-        self._predicates[(mkey, predicate.r)] = predicate
-        got = self._filtered.get(fkey)
-        if got is not None:
-            stats.reused_filters += 1
-            return got
+    def _edge_cache(
+        self, mkey: MetricKey, predicate: SimilarityPredicate, backend: str
+    ) -> EdgeSimilarityCache:
         cache = self._edge_values.get((mkey, backend))
         if cache is None:
             cache = EdgeSimilarityCache(
                 self._substrate(backend), predicate, backend=backend
             )
             self._edge_values[(mkey, backend)] = cache
-        filtered = cache.filtered_at(predicate.r)
-        self._filtered[fkey] = filtered
-        return filtered
+        return cache
 
     def _survivor_set(
         self,
         mkey: MetricKey,
         predicate: SimilarityPredicate,
         backend: str,
-        filtered,
         k: int,
         stats: SearchStats,
     ):
-        per_k = self._survivors.setdefault((mkey, predicate.r, backend), {})
+        """Algorithm 1 lines 1 and 3 at ``(k, r)``: ``(filtered, survivors)``.
+
+        Raising a distance threshold (or lowering a similarity one) only
+        adds edges, and k-cores are nested, so the ``(k, r)`` core lies
+        inside every cached core at ``k' <= k`` and a threshold at least
+        as loose as ``r``.  The peel seeds from the smallest such core.
+        When ``r`` has no filtered graph serving ``k`` and a seed exists,
+        the csr backend filters inside the seed only (its rows, its
+        edges) and records the seed's ``k'``: that restricted graph
+        serves later queries at ``r`` only for ``k >= k'``.
+        """
+        r = predicate.r
+        fkey = (mkey, r, backend)
+        self._predicates[(mkey, r)] = predicate
+        per_k = self._survivors.setdefault(fkey, {})
+        seed = self._threshold_seed(mkey, r, backend, k)
+        filtered = self._filtered.get(fkey)
+        if filtered is not None and self._seeded_filters.get(fkey, 0) <= k:
+            stats.reused_filters += 1
+        elif backend == "csr" and seed is not None:
+            filtered = self._edge_cache(mkey, predicate, backend).filtered_within(
+                r, seed[1]
+            )
+            self._filtered[fkey] = filtered
+            self._seeded_filters[fkey] = seed[0]
+            stats.threshold_seeds += 1
+        else:
+            filtered = self._edge_cache(mkey, predicate, backend).filtered_at(r)
+            self._filtered[fkey] = filtered
+            self._seeded_filters.pop(fkey, None)
         if k in per_k:
-            return per_k[k]
-        # The k-core is inside every smaller k's core: seed the peel from
-        # the largest cached smaller k instead of the whole graph.
-        seed_k = max((k0 for k0 in per_k if k0 < k), default=None)
-        seed = per_k[seed_k] if seed_k is not None else None
-        survivors = kcore_survivors(filtered, k, backend, seed=seed)
-        if seed_k is not None:
+            return filtered, per_k[k][0]
+        survivors = kcore_survivors(
+            filtered, k, backend, seed=None if seed is None else seed[1]
+        )
+        if seed is not None:
             stats.seeded_peels += 1
-        per_k[k] = survivors
-        return survivors
+        size = (
+            int(np.count_nonzero(survivors)) if backend == "csr"
+            else len(survivors)
+        )
+        per_k[k] = (survivors, size)
+        return filtered, survivors
+
+    def _threshold_seed(
+        self, mkey: MetricKey, r: float, backend: str, k: int
+    ) -> Optional[Tuple[int, Any]]:
+        """``(k', survivors)`` of the smallest cached core containing the
+        ``(k, r)`` core, or ``None``: same metric and backend, ``k' <= k``
+        and a threshold at least as loose as ``r`` (``r' >= r`` for a
+        distance, ``r' <= r`` for a similarity), ``(k, r)`` itself
+        excluded.  Sizes are stored beside the sets, so the choice
+        recounts nothing.
+        """
+        similarity = mkey[1] is MetricKind.SIMILARITY
+        best = None
+        for (mkey0, r0, backend0), per_k in self._survivors.items():
+            if mkey0 != mkey or backend0 != backend:
+                continue
+            if (r0 > r) if similarity else (r0 < r):
+                continue
+            for k0, (survivors, size) in per_k.items():
+                if k0 > k or (k0 == k and r0 == r):
+                    continue
+                if best is None or size < best[0]:
+                    best = (size, k0, survivors)
+        return None if best is None else best[1:]

@@ -36,7 +36,10 @@ class SearchStats:
     cache_misses: int = 0          # components solved by a fresh engine run
     reused_preprocess: int = 0     # full per-(k, r) component preparations reused
     reused_filters: int = 0        # (metric, r) filtered graphs served from cache
-    seeded_peels: int = 0          # k-core peels warm-started from a smaller k
+    seeded_peels: int = 0          # k-core peels warm-started from a cached
+                                   # core at a smaller k or looser r
+    threshold_seeds: int = 0       # filtered graphs built inside a cached
+                                   # looser-threshold core, not the graph
     shared_bound: int = 0          # best incumbent size published via the
                                    # cross-worker shared bound (advisory;
                                    # 0 unless split subtree tasks ran)

@@ -27,6 +27,15 @@ on the final graph — result for result, and (after
 full re-search over the *maintained preprocessing*) search counter for
 search counter.  See :func:`run_edit_stream_case`.
 
+Both runners also check the session's threshold-seeded front end: a csr
+session warmed at a looser threshold derived from the case (no rng
+draw; edit streams also warm it at the case's own threshold and then
+apply the edits) answers the case after
+:meth:`~repro.core.session.KRCoreSession.drop_results`, and must match
+the fresh csr run on results and parity counters.
+:attr:`CaseResult.threshold_seeded` records whether that query filtered
+inside the looser core.
+
 Any mismatch (or an engine crash) is reported as a
 :class:`Disagreement`; the driver shrinks the case and serialises a
 repro file.
@@ -44,6 +53,8 @@ from repro.core.naive import _is_krcore_vertexset, brute_force_maximal_krcores
 from repro.core.session import KRCoreSession, prepare_components
 from repro.core.stats import SearchStats
 from repro.fuzz.space import FuzzCase
+from repro.similarity.metrics import MetricKind
+from repro.similarity.threshold import SimilarityPredicate
 
 #: SearchStats counters both engine backends must agree on exactly (the
 #: decision-for-decision parity contract of PR 3; elapsed/cache fields
@@ -88,12 +99,14 @@ class CaseResult:
 
     ``stats`` is the csr run's full counter dict (empty when an engine
     crashed before producing stats) — the single source the driver's
-    hardness tables read from.
+    hardness tables read from.  ``threshold_seeded`` says whether the
+    looser-threshold check's query took the threshold-seeded path.
     """
 
     disagreement: Optional[Disagreement] = None
     oracle_used: bool = False
     stats: Dict[str, Any] = field(default_factory=dict)
+    threshold_seeded: bool = False
 
     @property
     def ok(self) -> bool:
@@ -110,6 +123,69 @@ def _run_backend(case: FuzzCase, backend: str, executor: str = "serial"):
     """
     cfg = case.config(backend, executor=executor)
     return _query_session(case, KRCoreSession(case.graph, config=cfg, copy=False))
+
+
+def _looser_predicate(case: FuzzCase) -> SimilarityPredicate:
+    """The case's predicate at a strictly looser threshold, derived from
+    the case alone: half a positive similarity threshold (a non-positive
+    one minus 1), twice a distance threshold plus 1."""
+    pred = case.predicate()
+    if pred.kind is MetricKind.SIMILARITY:
+        return pred.with_threshold(pred.r / 2 if pred.r > 0 else pred.r - 1.0)
+    return pred.with_threshold(2 * pred.r + 1.0)
+
+
+def _seeded_check(
+    case: FuzzCase, res_fresh, stats_fresh, out: CaseResult
+) -> Optional[Disagreement]:
+    """The looser-threshold check of both runners (see the module doc).
+
+    A csr session prepares ``k' = max(1, k - 1)`` at the looser
+    threshold (a heuristic maximum: no search), then — for an edit
+    stream — answers the case and absorbs the edits, which drops every
+    threshold-seeded entry.  After ``drop_results`` the case's query must
+    equal ``res_fresh`` and ``stats_fresh`` on every parity counter.
+    """
+    try:
+        session = KRCoreSession(
+            case.graph, config=case.config("csr", executor="serial"), copy=True
+        )
+        session.maximum_outcome(
+            max(1, case.k - 1), predicate=_looser_predicate(case),
+            mode="heuristic",
+        )
+        if case.edits:
+            _query_session(case, session)
+            for edit in case.edits:
+                _apply_edit(session, edit)
+        session.drop_results()
+        res, stats = _query_session(case, session)
+    except Exception:
+        return Disagreement(
+            "engine-error",
+            f"looser-threshold check raised:\n{traceback.format_exc()}",
+        )
+    out.threshold_seeded = stats.threshold_seeds > 0
+    if res != res_fresh:
+        return Disagreement(
+            "seeded-result",
+            f"warm at a looser r: {_fmt(res)} fresh: {_fmt(res_fresh)}",
+        )
+    if session.maintenance_stats.errors:
+        return Disagreement(
+            "maintenance-error",
+            f"looser-threshold check: maintenance swallowed "
+            f"{session.maintenance_stats.errors} internal error(s)",
+        )
+    diffs = [
+        f"{name}: seeded={getattr(stats, name)} "
+        f"fresh={getattr(stats_fresh, name)}"
+        for name in PARITY_COUNTERS
+        if getattr(stats, name) != getattr(stats_fresh, name)
+    ]
+    if diffs:
+        return Disagreement("seeded-stats", "; ".join(diffs))
+    return None
 
 
 def _oracle_components(case: FuzzCase, limit: int):
@@ -133,8 +209,9 @@ def run_case(
     """Cross-check one case; the first divergence found wins.
 
     Order of checks: engine crashes, python-vs-csr result equality,
-    python-vs-csr stats parity, then (small instances only) both
-    engines against the brute-force oracle.  Cases carrying an edit
+    python-vs-csr stats parity, the looser-threshold check, the sampled
+    executor replay, then (small instances only) both engines against
+    the brute-force oracle.  Cases carrying an edit
     stream run the maintained-vs-fresh differential instead.
     """
     if case.edits:
@@ -169,6 +246,10 @@ def run_case(
         out.disagreement = Disagreement(
             "backend-stats", "; ".join(diffs)
         )
+        return out
+
+    out.disagreement = _seeded_check(case, res_cs, stats_cs, out)
+    if out.disagreement is not None:
         return out
 
     # Executor dimension: when the sampled knobs ask for a pool flavour
@@ -300,9 +381,10 @@ def run_edit_stream_case(
        differ from freshly-built ones even though results happened to
        agree.
 
-    The two backends' final results are then cross-checked, and cases
-    sampled with the process executor replay the maintained csr query
-    over the worker pool (results and counters vs the serial re-query).
+    The two backends' final results are then cross-checked, the
+    looser-threshold check runs on the edit stream, and cases sampled
+    with the process executor replay the maintained csr query over the
+    worker pool (results and counters vs the serial re-query).
     """
     out = CaseResult()
     finals = {}
@@ -377,6 +459,11 @@ def run_edit_stream_case(
             f"after edits: python={_fmt(finals['python'][1])} "
             f"csr={_fmt(finals['csr'][1])}",
         )
+        return out
+
+    _, res_fresh, stats_fresh = finals["csr"]
+    out.disagreement = _seeded_check(case, res_fresh, stats_fresh, out)
+    if out.disagreement is not None:
         return out
 
     pool = case.search.get("executor")

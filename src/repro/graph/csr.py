@@ -25,7 +25,9 @@ Python loops:
 * :meth:`CSRGraph.filter_edges` — sort-free edge deletion: one gather of
   the keep mask through a cached directed-entry → edge-id map, one
   compaction of ``indices`` and ``indptr`` read off a cumulative sum, so
-  a new similarity threshold costs O(m) with no re-sort.
+  a new similarity threshold costs O(m) with no re-sort;
+  :meth:`CSRGraph.filter_induced` does the same over a vertex mask's
+  rows only, so its cost tracks the masked subgraph.
 
 All kernels take and return flat arrays / boolean masks over vertex ids,
 so they compose without materialising Python sets; the dispatchers in
@@ -35,7 +37,9 @@ to the set-based API at the boundary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -324,6 +328,40 @@ class CSRGraph:
         np.cumsum(kept, out=before[1:])
         return self._derive(before[self.indptr], self.indices[kept])
 
+    def filter_induced(
+        self,
+        mask: np.ndarray,
+        keep_edges: Callable[[np.ndarray], np.ndarray],
+    ) -> "CSRGraph":
+        """New graph keeping the edges between two ``mask`` vertices that
+        ``keep_edges`` selects.
+
+        ``keep_edges`` maps an array of edge ids (:meth:`edge_array`
+        order) to their boolean keep decisions; it is asked about each
+        edge once.  Only the masked vertices' rows are gathered, so the
+        cost tracks the masked subgraph, not the graph.  Every vertex
+        keeps its id; rows outside ``mask`` are empty.  The result is
+        array-for-array what :meth:`filter_edges` builds from a mask
+        that also drops every edge leaving ``mask``.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        rows = np.nonzero(mask)[0]
+        pos = row_positions(self, rows)
+        src = np.repeat(rows, self.indptr[rows + 1] - self.indptr[rows])
+        dst = self.indices[pos]
+        inside = mask[dst]
+        src, dst = src[inside], dst[inside]
+        eids = self._edge_id_map()[pos[inside]]
+        upper = src < dst
+        decided = np.zeros(self.edge_count, dtype=bool)
+        decided[eids[upper]] = keep_edges(eids[upper])
+        kept = decided[eids]
+        indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(src[kept], minlength=self.vertex_count), out=indptr[1:]
+        )
+        return self._derive(indptr, dst[kept])
+
     def __len__(self) -> int:
         return self.vertex_count
 
@@ -461,23 +499,29 @@ def apply_edit(
     return csr
 
 
+def row_positions(csr: CSRGraph, rows: np.ndarray) -> np.ndarray:
+    """Entry positions of the rows of ``rows``, row by row in that order.
+
+    The flat-gather recipe: one fancy index instead of a per-vertex loop.
+    """
+    starts = csr.indptr[rows]
+    counts = csr.indptr[rows + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    shift = np.cumsum(counts) - counts
+    return np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
+
+
 def gather_neighbors(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
     """Concatenated neighbour lists of all ``frontier`` vertices.
 
-    The flat-gather recipe: one fancy index instead of a per-vertex loop.
     Duplicates are preserved (a vertex adjacent to two frontier vertices
     appears twice) — exactly what the degree-decrement peels need.
     """
     if frontier.size == 0:
         return csr.indices[:0]
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return csr.indices[:0]
-    shift = np.cumsum(counts) - counts
-    flat = np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
-    return csr.indices[flat]
+    return csr.indices[row_positions(csr, frontier)]
 
 
 def k_core_mask(

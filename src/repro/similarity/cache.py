@@ -126,28 +126,43 @@ class EdgeSimilarityCache:
             dtype=np.float64,
         )
 
-    def _keep_mask(self, r: float) -> np.ndarray:
-        keep = self._base.copy()
+    def _keep(self, r: float, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Keep decision at threshold ``r`` of every edge, or of the edge
+        ids ``ids`` (:meth:`CSRGraph.edge_array` order).
+
+        The one comparison path of the csr backend: :meth:`filtered_at`,
+        :meth:`filtered_within` and :meth:`decisions` all decide here,
+        including the 1-ulp borderline re-check of the squared-distance
+        path through the scalar predicate.
+        """
+        keep = self._base.copy() if ids is None else self._base[ids]
         if keep.size == 0:
             return keep
         if self._mode == "euclid2":
-            d2 = self._values
+            d2 = self._values if ids is None else self._values[ids]
             r2 = r * r
             with np.errstate(invalid="ignore"):
                 near = d2 <= r2 * (1.0 - 1e-12)
                 far = d2 > r2 * (1.0 + 1e-12)
             keep &= ~far
             pred_r = self._predicate.with_threshold(r)
-            for i in np.nonzero(keep & ~near & ~far)[0]:
+            for i in np.nonzero(keep & ~near & ~far)[0].tolist():
+                e = i if ids is None else int(ids[i])
                 keep[i] = pred_r.similar(
-                    self._csr.attribute(int(self._eu[i])),
-                    self._csr.attribute(int(self._ev[i])),
+                    self._csr.attribute(int(self._eu[e])),
+                    self._csr.attribute(int(self._ev[e])),
                 )
             return keep
-        if self._predicate.kind is MetricKind.SIMILARITY:
-            keep[self._live] = self._values >= r
+        if ids is None:
+            where, values = self._live, self._values
         else:
-            keep[self._live] = self._values <= r
+            # ``_values`` is aligned with the ascending live edge ids.
+            where = np.nonzero(keep)[0]
+            values = self._values[np.searchsorted(self._live, ids[where])]
+        if self._predicate.kind is MetricKind.SIMILARITY:
+            keep[where] = values >= r
+        else:
+            keep[where] = values <= r
         return keep
 
     # ------------------------------------------------------------------
@@ -405,36 +420,21 @@ class EdgeSimilarityCache:
         filter bit-for-bit, including the squared-distance borderline
         re-check band of the geo path.
         """
-        out: List[bool] = []
         if self._backend == "csr":
             n = self._csr.vertex_count
-            key = self._keys
-            for a, b in pairs:
-                u, v = (a, b) if a < b else (b, a)
-                pk = u * n + v
-                i = int(np.searchsorted(key, pk))
-                if i >= key.size or int(key[i]) != pk or not self._base[i]:
-                    out.append(False)
-                elif self._mode == "euclid2":
-                    d2 = float(self._values[i])
-                    r2 = r * r
-                    if d2 <= r2 * (1.0 - 1e-12):
-                        out.append(True)
-                    elif d2 > r2 * (1.0 + 1e-12):
-                        out.append(False)
-                    else:  # borderline band: defer to the scalar predicate
-                        pred_r = self._predicate.with_threshold(r)
-                        out.append(bool(pred_r.similar(
-                            self._csr.attribute(int(self._eu[i])),
-                            self._csr.attribute(int(self._ev[i])),
-                        )))
-                else:
-                    value = float(self._values[int(np.searchsorted(self._live, i))])
-                    if self._predicate.kind is MetricKind.SIMILARITY:
-                        out.append(value >= r)
-                    else:
-                        out.append(value <= r)
-            return out
+            wanted = np.array(
+                [a * n + b if a < b else b * n + a for a, b in pairs],
+                dtype=np.int64,
+            )
+            out = np.zeros(wanted.size, dtype=bool)
+            if wanted.size and self._keys.size:
+                pos = np.minimum(
+                    np.searchsorted(self._keys, wanted), self._keys.size - 1
+                )
+                found = self._keys[pos] == wanted
+                out[found] = self._keep(r, pos[found])
+            return out.tolist()
+        out: List[bool] = []
         similarity = self._predicate.kind is MetricKind.SIMILARITY
         for a, b in pairs:
             pair = (a, b) if a < b else (b, a)
@@ -455,6 +455,23 @@ class EdgeSimilarityCache:
     # ------------------------------------------------------------------
     # Shared surface
     # ------------------------------------------------------------------
+    def filtered_within(self, r: float, mask: np.ndarray) -> CSRGraph:
+        """The filtered graph at ``r`` restricted to the vertices of ``mask``.
+
+        csr backend only.  Keeps the edges whose two endpoints are in
+        ``mask`` and that :meth:`filtered_at` keeps, deciding each through
+        the same comparison path, and gathers only the masked rows
+        (:meth:`CSRGraph.filter_induced`).  When ``mask`` holds a looser
+        threshold's core, the k-core of the result equals the k-core of
+        :meth:`filtered_at` for every ``k`` that core was peeled at or
+        above.
+        """
+        if self._backend != "csr":
+            raise InvalidParameterError(
+                "filtered_within needs the csr backend"
+            )
+        return self._csr.filter_induced(mask, lambda ids: self._keep(r, ids))
+
     def filtered_at(self, r: float):
         """The graph with every edge dissimilar at threshold ``r`` deleted.
 
@@ -463,7 +480,7 @@ class EdgeSimilarityCache:
         the one-shot preprocessing produces.
         """
         if self._backend == "csr":
-            return self._csr.filter_edges(self._keep_mask(r))
+            return self._csr.filter_edges(self._keep(r))
         out = self._graph.copy()
         similarity = self._predicate.kind is MetricKind.SIMILARITY
         for (u, v), value in zip(self._edges, self._edge_values):

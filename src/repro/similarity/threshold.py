@@ -16,6 +16,7 @@ Two pieces live here:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Callable, List, Optional, Sequence, Union
 
@@ -60,9 +61,14 @@ class SimilarityPredicate:
         if not isinstance(kind, MetricKind):
             raise InvalidParameterError(f"kind must be a MetricKind, got {kind!r}")
         self.kind = kind
+        r = float(r)
+        if math.isnan(r):
+            # NaN compares False against everything: it would answer every
+            # query empty and never equal itself as a cache key.
+            raise InvalidParameterError("threshold r must be a number, got nan")
         if self.kind is MetricKind.DISTANCE and r < 0:
             raise InvalidParameterError(f"distance threshold must be >= 0, got {r}")
-        self.r = float(r)
+        self.r = r
 
     def value(self, a: Any, b: Any) -> float:
         """Raw metric value between two attribute values."""

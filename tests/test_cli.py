@@ -172,6 +172,8 @@ class TestSweepCommand:
         assert "k=2 r=0.6 count=2" in out
         assert "k=3 r=0.4 count=0" in out
         assert "session reuse:" in out
+        # r=0.4 is computed first; r=0.6 filters inside its core.
+        assert "1 threshold seeds" in out
 
     def test_rs_default_to_resolved_threshold(self, file_graph, capsys):
         edges, attrs = file_graph

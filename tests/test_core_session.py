@@ -3,7 +3,10 @@
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from conftest import as_sorted_sets, make_geo_graph, make_random_attr_graph
 from repro.core.api import (
@@ -28,6 +31,7 @@ from repro.core.stats import SearchStats
 from repro.datasets.geosocial import geosocial_network
 from repro.datasets.planted import planted_communities
 from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
+from repro.fuzz.differential import PARITY_COUNTERS
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_fingerprint
@@ -649,3 +653,275 @@ class TestCSRPrimarySession:
         assert session.maintenance_stats.maintained == len(edits)
         assert graph_fingerprint(session.graph) == \
             graph_fingerprint(reference.graph)
+
+
+def _borderline_geo_graph() -> AttributedGraph:
+    """A geo graph with edge (0, 1) exactly 5.0 apart: at r = 5.0 its
+    squared length sits in the filter's 1-ulp re-check band."""
+    g = make_geo_graph(5, n=30, p=0.45)
+    g.add_edge(0, 1)
+    g.set_attribute(0, (10.0, 10.0))
+    g.set_attribute(1, (13.0, 14.0))
+    return g
+
+
+#: metric name -> (graph, predicate factory, thresholds loosest first).
+SEEDING_CASES = {
+    "euclidean": (
+        _borderline_geo_graph(),
+        lambda r: SimilarityPredicate("euclidean", r),
+        [30.0, 20.0, 12.0, 5.0],
+    ),
+    "jaccard": (
+        make_random_attr_graph(4, n=30, p=0.4, attrs=3),
+        lambda r: SimilarityPredicate("jaccard", r),
+        [0.2, 0.35, 0.5, 0.7],
+    ),
+    "scalar": (
+        make_random_attr_graph(6, n=30, p=0.4, attrs=3),
+        lambda r: SimilarityPredicate(_overlap, r, kind=MetricKind.SIMILARITY),
+        [1.0, 2.0, 3.0],
+    ),
+}
+
+
+def _walk_orders(loosest_first):
+    tightest_first = loosest_first[::-1]
+    interleaved = loosest_first[1::2] + loosest_first[0::2]
+    return {
+        "loosest-first": loosest_first,
+        "tightest-first": tightest_first,
+        "interleaved": interleaved,
+    }
+
+
+def _assert_fresh_point(session, graph, k, predicate):
+    """``session`` answers ``(k, predicate)`` as a fresh csr session does:
+    results, and every parity counter of a full re-search."""
+    fresh = KRCoreSession(graph, backend="csr")
+    session.drop_results()
+    got, got_stats = session.enumerate(k, predicate=predicate, with_stats=True)
+    want, want_stats = fresh.enumerate(k, predicate=predicate, with_stats=True)
+    assert as_sorted_sets(got) == as_sorted_sets(want), (k, predicate)
+    best, best_stats = session.maximum(k, predicate=predicate, with_stats=True)
+    ref, ref_stats = fresh.maximum(k, predicate=predicate, with_stats=True)
+    assert (best.vertices if best else None) == (ref.vertices if ref else None)
+    for name in PARITY_COUNTERS:
+        assert getattr(got_stats, name) == getattr(want_stats, name), name
+        assert getattr(best_stats, name) == getattr(ref_stats, name), name
+
+
+def _assert_sizes_recount(session):
+    for per_k in session._survivors.values():
+        for survivors, size in per_k.values():
+            assert size == int(np.count_nonzero(survivors))
+
+
+class TestThresholdSeeding:
+    """A new (k, r) point filters and peels inside a cached looser core."""
+
+    @pytest.mark.parametrize("order", ["loosest-first", "tightest-first",
+                                       "interleaved"])
+    @pytest.mark.parametrize("metric", sorted(SEEDING_CASES))
+    def test_walks_match_fresh_sessions(self, metric, order):
+        graph, make, loosest_first = SEEDING_CASES[metric]
+        rs = _walk_orders(loosest_first)[order]
+        session = KRCoreSession(graph, backend="csr")
+        for r in rs:
+            for k in (2, 3):
+                _assert_fresh_point(session, graph, k, make(r))
+        _assert_sizes_recount(session)
+        seeds = session.cache_stats()["reused"]["threshold_seeds"]
+        if order == "tightest-first":
+            assert seeds == 0  # no looser threshold is ever cached first
+        else:
+            assert seeds > 0
+        if order == "loosest-first":
+            # Every threshold after the first is filtered inside a core.
+            assert seeds == len(rs) - 1
+            assert len(session._seeded_filters) == len(rs) - 1
+
+    def test_borderline_pair_decided_like_the_full_filter(self):
+        graph, make, _ = SEEDING_CASES["euclidean"]
+        session = KRCoreSession(graph, backend="csr")
+        session.enumerate(1, predicate=make(30.0))
+        _, stats = session.enumerate(1, predicate=make(5.0), with_stats=True)
+        assert stats.threshold_seeds == 1
+        seeded = session._filtered[
+            ((make(5.0).metric, MetricKind.DISTANCE), 5.0, "csr")
+        ]
+        full = EdgeSimilarityCache(
+            freeze_graph(graph), make(5.0), backend="csr"
+        ).filtered_at(5.0)
+        assert full.has_edge(0, 1) and seeded.has_edge(0, 1)
+
+    def test_smaller_k_at_a_seeded_threshold(self):
+        graph, make, _ = SEEDING_CASES["euclidean"]
+        session = KRCoreSession(graph, backend="csr")
+        session.enumerate(3, predicate=make(30.0))
+        _, stats = session.enumerate(3, predicate=make(12.0), with_stats=True)
+        assert stats.threshold_seeds == 1
+        # The restricted graph holds only the k >= 3 core's rows: k = 2
+        # has no seed at k' <= 2, so it takes the full filter.
+        _, stats = session.enumerate(2, predicate=make(12.0), with_stats=True)
+        assert (stats.threshold_seeds, stats.reused_filters) == (0, 0)
+        fkey = ((make(12.0).metric, MetricKind.DISTANCE), 12.0, "csr")
+        assert fkey not in session._seeded_filters
+        _assert_fresh_point(session, graph, 2, make(12.0))
+        _, stats = session.enumerate(4, predicate=make(12.0), with_stats=True)
+        assert stats.reused_filters == 1
+
+    def test_smaller_k_reseeds_from_a_qualifying_core(self):
+        graph, make, _ = SEEDING_CASES["euclidean"]
+        session = KRCoreSession(graph, backend="csr")
+        session.enumerate(2, predicate=make(30.0))
+        session.enumerate(4, predicate=make(30.0))
+        session.enumerate(4, predicate=make(12.0))
+        fkey = ((make(12.0).metric, MetricKind.DISTANCE), 12.0, "csr")
+        assert session._seeded_filters[fkey] == 4  # smallest core: k' = 4
+        _, stats = session.enumerate(2, predicate=make(12.0), with_stats=True)
+        assert stats.threshold_seeds == 1
+        assert session._seeded_filters[fkey] == 2
+        for k in (2, 3, 4):
+            _assert_fresh_point(session, graph, k, make(12.0))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "jaccard"])
+    def test_edit_drops_seeded_entries(self, metric):
+        graph, make, rs = SEEDING_CASES[metric]
+        session = KRCoreSession(graph, backend="csr")
+        for r in rs[:3]:
+            for k in (2, 3):
+                session.enumerate(k, predicate=make(r))
+                session.maximum(k, predicate=make(r))
+        assert session._seeded_filters
+        current = session.graph
+        u, v = next(iter(current.edges()))
+        w = next(
+            x for x in current.vertices()
+            if x != u and not current.has_edge(u, x)
+        )
+        edits = [
+            {"remove_edges": [(u, v)]},
+            {"add_edges": [(u, w)]},
+            {"attributes": {v: current.attribute(w)}},
+        ]
+        for edit in edits:
+            assert session.edit(**edit)
+            assert not session._seeded_filters
+            _assert_sizes_recount(session)
+            for r in rs[:3]:
+                for k in (2, 3):
+                    _assert_fresh_point(session, session.graph, k, make(r))
+            assert session._seeded_filters  # re-derived from a kept seed
+        assert session.maintenance_stats.fallbacks == 0
+        assert session.maintenance_stats.errors == 0
+        assert session.maintenance_stats.maintained == len(edits)
+
+    def test_python_backend_filters_the_whole_graph(self):
+        graph, make, rs = SEEDING_CASES["jaccard"]
+        session = KRCoreSession(graph, backend="python")
+        reference = KRCoreSession(graph, backend="csr")
+        for r in rs:
+            got = session.statistics(2, predicate=make(r))
+            assert got == reference.statistics(2, predicate=make(r))
+        assert session.cache_stats()["reused"]["threshold_seeds"] == 0
+        assert session.cache_stats()["reused"]["seeded_peels"] == len(rs) - 1
+
+    def test_sweep_computes_loosest_first(self):
+        graph, make, rs = SEEDING_CASES["euclidean"]
+        ks = [3, 2]
+        request = [rs[1], rs[3], rs[0], rs[2]]
+        session = KRCoreSession(graph, metric="euclidean", backend="csr")
+        rows, stats = session.sweep(ks, request, with_stats=True)
+        assert [(row["k"], row["r"]) for row in rows] == \
+            [(k, r) for k in ks for r in request]
+        for row in rows:
+            want = KRCoreSession(graph, metric="euclidean").statistics(
+                row["k"], row["r"]
+            )
+            assert {key: row[key] for key in want} == want
+        assert stats.threshold_seeds == len(rs) - 1
+
+    def test_sweep_prefill_computes_loosest_first(self):
+        graph, make, rs = SEEDING_CASES["jaccard"]
+        session = KRCoreSession(graph, backend="csr")
+        serial = KRCoreSession(graph, backend="csr").sweep([2, 3], rs[::-1])
+        rows, stats = session.sweep(
+            [2, 3], rs[::-1], plan={"executor": "process", "workers": 2},
+            with_stats=True,
+        )
+        assert rows == serial
+        assert stats.threshold_seeds == len(rs) - 1
+
+
+@st.composite
+def _seeded_pipeline_case(draw):
+    """A graph, a threshold, a looser one, and ``k' <= k``."""
+    metric = draw(st.sampled_from(["euclidean", "jaccard"]))
+    seed = draw(st.integers(0, 10_000))
+    n = draw(st.integers(2, 28))
+    p = draw(st.floats(0.1, 0.8))
+    if metric == "euclidean":
+        graph = make_geo_graph(seed, n=n, p=p)
+        r = draw(st.floats(0.0, 60.0))
+        loose = r + draw(st.floats(0.0, 40.0))
+    else:
+        graph = make_random_attr_graph(seed, n=n, p=p)
+        r = draw(st.floats(0.0, 1.0))
+        loose = r * draw(st.floats(0.0, 1.0))
+    k = draw(st.integers(1, 5))
+    return graph, metric, r, loose, k, draw(st.integers(1, k))
+
+
+class TestSeededPipelineProperty:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_seeded_pipeline_case())
+    def test_restricted_filter_and_seeded_peel_match_full(self, case):
+        graph, metric, r, loose, k, k0 = case
+        csr = freeze_graph(graph)
+        predicate = SimilarityPredicate(metric, r)
+        cache = EdgeSimilarityCache(csr, predicate, backend="csr")
+        full = cache.filtered_at(r)
+        survivors = kcore_survivors(full, k, "csr")
+        seed = kcore_survivors(cache.filtered_at(loose), k0, "csr")
+        restricted = cache.filtered_within(r, seed)
+        seeded = kcore_survivors(restricted, k, "csr", seed=seed)
+        assert np.array_equal(seeded, survivors)
+        got = component_arrays(csr, predicate, restricted, seeded)
+        want = component_arrays(csr, predicate, full, survivors)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for name in ("verts", "src", "dst", "pair_i", "pair_j"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert a.edges_key == b.edges_key
+            assert a.max_degree == b.max_degree
+
+
+class TestKValidation:
+    """k is a positive int: refused when bool or non-integral."""
+
+    @pytest.mark.parametrize("k", [2.5, True, False, np.bool_(True), "3",
+                                   0, -1, float("nan"), float("inf")])
+    def test_rejected(self, k):
+        session = KRCoreSession(make_random_attr_graph(1, n=10))
+        for query in (session.statistics, session.enumerate, session.maximum,
+                      session.maximum_outcome, session.memberships):
+            with pytest.raises(InvalidParameterError):
+                query(k, 0.3)
+        with pytest.raises(InvalidParameterError):
+            session.sweep([k], [0.3])
+
+    @pytest.mark.parametrize("k", [np.int64(3), 3.0, np.float64(3.0)])
+    def test_integral_values_normalise_before_caching(self, k):
+        graph = make_random_attr_graph(2, n=14, p=0.6)
+        session = KRCoreSession(graph)
+        want = KRCoreSession(graph).statistics(3, 0.3)
+        assert session.statistics(k, 0.3) == want
+        _, stats = session.statistics(3, 0.3, with_stats=True)
+        assert stats.reused_preprocess == 1 and stats.cache_misses == 0
+        assert all(type(key[3]) is int for key in session._prepared)
+        cores = session.enumerate(k, 0.3)
+        assert all(type(core.k) is int for core in cores)
+        rows = session.sweep([k], [0.3])
+        assert type(rows[0]["k"]) is int and rows[0]["k"] == 3

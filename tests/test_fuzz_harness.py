@@ -50,6 +50,20 @@ class TestDifferential:
         result = run_case(sample_case(random.Random(seed)))
         assert result.ok, str(result.disagreement)
 
+    def test_looser_threshold_check_takes_the_seeded_path(self):
+        rng = random.Random(11)
+        results = [run_case(sample_case(rng)) for _ in range(8)]
+        assert all(result.ok for result in results)
+        assert all(result.threshold_seeded for result in results)
+
+    def test_looser_predicate_is_strictly_looser(self):
+        from repro.fuzz.differential import _looser_predicate
+        for metric, r, want in (("jaccard", 0.4, 0.2), ("jaccard", 0.0, -1.0),
+                                ("euclidean", 2.0, 5.0), ("euclidean", 0.0, 1.0)):
+            case = FuzzCase(graph=AttributedGraph(1), k=1, metric=metric, r=r,
+                            mode="enumerate")
+            assert _looser_predicate(case).r == want
+
     def test_parity_counters_are_real_stats_fields(self):
         from repro.core.stats import SearchStats
         stats = SearchStats()
@@ -181,6 +195,7 @@ class TestDriverCLI:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "zero python/csr/oracle disagreements" in proc.stdout
+        assert "looser-threshold checks on the seeded path: 25/25" in proc.stdout
         assert not list(tmp_path.iterdir())  # no repros for a clean sweep
 
     def test_sweep_refuses_leftover_fault_flag(self, tmp_path):

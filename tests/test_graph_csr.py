@@ -246,6 +246,27 @@ class TestSortFreeFilter:
         assert np.array_equal(eu[eid], lo) and np.array_equal(ev[eid], hi)
         assert np.bincount(eid, minlength=csr.edge_count).tolist() == [2] * csr.edge_count
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_csr_and_mask(), st.randoms(use_true_random=False))
+    def test_filter_induced_matches_masked_filter(self, case, rnd):
+        csr, keep = case
+        mask = np.array(
+            [rnd.random() < 0.6 for _ in range(csr.vertex_count)], dtype=bool
+        )
+        asked = []
+
+        def keep_edges(ids):
+            asked.extend(ids.tolist())
+            return keep[ids]
+
+        got = csr.filter_induced(mask, keep_edges)
+        eu, ev = csr.edge_array()
+        inside = mask[eu] & mask[ev]
+        _assert_same_csr(got, csr.filter_edges(keep & inside))
+        # Each edge inside the mask is decided exactly once.
+        assert sorted(asked) == np.nonzero(inside)[0].tolist()
+
     def test_with_attribute_keeps_edge_id_map(self):
         csr = CSRGraph.from_attributed(make_geo_graph(1))
         eid = csr._edge_id_map()

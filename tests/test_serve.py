@@ -119,6 +119,9 @@ class TestServiceErrors:
         # NaN compares False against every bound: a naive positivity
         # check would run the query without a deadline.
         {"time_limit": "nan"},
+        # A NaN threshold answered every query empty and never matched
+        # itself as a cache key, growing the caches per request.
+        {"r": "nan"},
     ))
     def test_malformed_knob_400(self, service, knob):
         with pytest.raises(ServiceError) as err:

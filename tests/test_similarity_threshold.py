@@ -34,6 +34,17 @@ class TestSimilarityPredicate:
         with pytest.raises(InvalidParameterError):
             SimilarityPredicate("euclidean", -1.0)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "jaccard"])
+    def test_nan_threshold_rejected(self, metric):
+        with pytest.raises(InvalidParameterError):
+            SimilarityPredicate(metric, float("nan"))
+        with pytest.raises(InvalidParameterError):
+            SimilarityPredicate(metric, 0.5).with_threshold(float("nan"))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "jaccard"])
+    def test_infinite_threshold_accepted(self, metric):
+        assert SimilarityPredicate(metric, float("inf")).r == float("inf")
+
     def test_custom_metric_requires_kind(self):
         with pytest.raises(InvalidParameterError):
             SimilarityPredicate(lambda a, b: 0.0, 0.5)
