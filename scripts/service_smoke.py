@@ -2,7 +2,10 @@
 
 Stores an adversarial ring-of-cliques graph, starts the JSON daemon,
 drives every endpoint over real HTTP, and checks each response against a
-direct in-process session on the identical graph.  Then it shuts the
+direct in-process session on the identical graph.  A keep-alive pass then
+drives every read endpoint over one persistent connection and checks the
+answers equal the one-connection-per-request ones, including a request
+that follows a 404 whose body the route never needed.  Then it shuts the
 daemon down (flushing warm state), restarts it over the same database,
 and proves the warm restart serves the same answers with zero engine
 invocations.  CI runs this as the ``service-smoke`` step::
@@ -12,11 +15,13 @@ invocations.  CI runs this as the ``service-smoke`` step::
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import tempfile
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -50,6 +55,64 @@ def request(base: str, method: str, path: str, payload=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+#: Fields of /health and /graphs/<name>/stats that move between two
+#: identical requests (uptime, counters and cache traffic).
+VOLATILE = ("uptime", "counters", "cache", "total_stats", "store", "dirty")
+
+
+def stable(payload):
+    if not isinstance(payload, dict):
+        return payload
+    return {key: value for key, value in payload.items()
+            if key not in VOLATILE}
+
+
+def persistent_request(conn, method: str, path: str, payload=None):
+    """One request on a kept-alive ``http.client`` connection.
+
+    A reply that is not JSON (stdlib's HTML error page, say) comes back
+    as its raw bytes, so the caller's check fails instead of crashing.
+    """
+    body = json.dumps(payload) if payload is not None else None
+    conn.request(method, path, body=body,
+                 headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    raw = resp.read()
+    try:
+        return resp.status, json.loads(raw)
+    except ValueError:
+        return resp.status, raw
+
+
+def keepalive_pass(base: str, reads) -> None:
+    """Every read over one connection must answer as ``urlopen`` does."""
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+    try:
+        conn.connect()
+        sock = conn.sock
+        for method, path, payload in reads:
+            want = request(base, method, path, payload)
+            got = persistent_request(conn, method, path, payload)
+            check(
+                got[0] == want[0] and stable(got[1]) == stable(want[1]),
+                f"keep-alive {method} {path} matches urlopen",
+            )
+        method, path, payload = reads[-1]
+        status, _ = persistent_request(
+            conn, "POST", "/graphs/adversarial/bogus", payload,
+        )
+        check(status == 404, "keep-alive 404 for an unknown op with a body")
+        got = persistent_request(conn, method, path, payload)
+        check(
+            got == request(base, method, path, payload),
+            "request after a 404-with-body is answered, not desynced",
+        )
+        check(conn.sock is sock, "keep-alive pass used one connection")
+    finally:
+        conn.close()
 
 
 def start_daemon(db: str):
@@ -208,6 +271,20 @@ def main() -> int:
             status == 200 and len(out["edits"]) == 1,
             "edit log persisted",
         )
+
+        print("keep-alive pass: every read endpoint over one connection")
+        params = {"k": k, "r": r}
+        keepalive_pass(base, [
+            ("GET", "/health", None),
+            ("GET", "/graphs", None),
+            ("GET", "/graphs/adversarial/stats", None),
+            ("GET", "/graphs/adversarial/edits", None),
+            ("POST", "/graphs/adversarial/enumerate", params),
+            ("POST", "/graphs/adversarial/maximum", params),
+            ("POST", "/graphs/adversarial/top", {**params, "t": 2}),
+            ("POST", "/graphs/adversarial/sweep", {"ks": [2, 3], "rs": [r]}),
+            ("POST", "/graphs/adversarial/statistics", params),
+        ])
 
         status, out = request(base, "POST", "/graphs/nope/enumerate",
                               {"k": 2, "r": 0.5})

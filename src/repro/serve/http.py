@@ -20,9 +20,16 @@ Routes
 * POST ``/shutdown`` — flush dirty state + stop serving
 
 Every response is a JSON object; errors come back as
-``{"error": message}`` with a 4xx/5xx status.  Shutdown — whether via
-``POST /shutdown``, :meth:`KRCoreHTTPServer.stop`, or the CLI's signal
-handler — flushes dirty session state before the store closes.
+``{"error": message}`` with a 4xx/5xx status.  Each reply leaves in one
+socket write with Nagle off, so a kept-alive connection pays no
+delayed-ACK stall.  Every request body is read before the reply; when
+its end cannot be trusted (a malformed, negative or oversized
+``Content-Length``, or a chunked body) the error reply closes the
+connection, so no later request is parsed out of a leftover body.
+
+Shutdown — whether via ``POST /shutdown``, :meth:`KRCoreHTTPServer.stop`,
+or the CLI's signal handler — flushes dirty session state before the
+store closes.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ class KRCoreRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "krcore-serve"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a reply is one write, and
+    # Nagle would hold any write after the first for the client's ACK.
+    disable_nagle_algorithm = True
 
     # The server object carries the service; typing helper:
     server: "KRCoreHTTPServer"
@@ -57,12 +67,22 @@ class KRCoreRequestHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionResetError:
+            # the client reset a kept-alive connection between requests
+            # (a reply to a gone client is caught in _reply): nothing to
+            # answer, and not a daemon error worth a traceback
+            pass
+
     # ------------------------------------------------------------------
     # Verbs
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler convention)
         service = self.server.service
         try:
+            self._admit()
             if self.path in ("/", "/health"):
                 self._reply(200, service.health())
                 return
@@ -82,7 +102,9 @@ class KRCoreRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         service = self.server.service
         try:
+            raw = self._admit()
             if self.path == "/shutdown":
+                self.close_connection = True
                 self._reply(200, {"ok": True, "shutting_down": True})
                 self.server.stop(from_request=True)
                 return
@@ -94,8 +116,7 @@ class KRCoreRequestHandler(BaseHTTPRequestHandler):
                 raise ServiceError(
                     f"no such route POST {self.path}", status=404
                 )
-            params = self._read_json_body()
-            self._reply(200, service.handle(name, op, params))
+            self._reply(200, service.handle(name, op, _json_object(raw)))
         except ServiceError as exc:
             self._reply(exc.status, {"error": str(exc)})
         except Exception as exc:
@@ -110,28 +131,68 @@ class KRCoreRequestHandler(BaseHTTPRequestHandler):
             raise ServiceError(f"no such route {self.path}", status=404)
         return parts[1], parts[2]
 
-    def _read_json_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _admit(self) -> bytes:
+        """The whole request body, read before any reply is written.
+
+        A reply sent with the body still unread would leave it in the
+        stream, where a kept-alive connection parses it as the next
+        request.  When the body's end cannot be found (or is not worth
+        reading), the error reply closes the connection instead.  So
+        does a request that a kept-alive connection carries in after
+        shutdown began, since the store it would use is closing.
+        """
+        if self.server.stopped:
+            self.close_connection = True
+            raise ServiceError("server is shutting down", status=503)
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise ServiceError(
+                "chunked request bodies are not supported; "
+                "send a Content-Length", status=411,
+            )
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise ServiceError(f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY:
+            self.close_connection = True
             raise ServiceError("request body too large", status=413)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            body = json.loads(raw)
-        except ValueError as exc:
-            raise ServiceError(f"malformed JSON body: {exc}") from None
-        if not isinstance(body, dict):
-            raise ServiceError("JSON body must be an object")
-        return body
+        return self.rfile.read(length) if length else b""
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
+        """Send status line, headers and JSON body in one socket write."""
         data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would write the head on its own; join it to the
+        # body instead.  An HTTP/0.9 reply is the bare body.
+        if self.request_version == "HTTP/0.9":
+            reply = data
+        else:
+            reply = b"".join(self._headers_buffer) + b"\r\n" + data
+            self._headers_buffer = []
+        try:
+            self.wfile.write(reply)
+        except (BrokenPipeError, ConnectionResetError):
+            # the client hung up before its answer: nothing to tell it
+            self.close_connection = True
+
+
+def _json_object(raw: bytes) -> Dict[str, Any]:
+    """Parse a request body that must be empty or one JSON object."""
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise ServiceError(f"malformed JSON body: {exc}") from None
+    if not isinstance(body, dict):
+        raise ServiceError("JSON body must be an object")
+    return body
 
 
 class KRCoreHTTPServer(ThreadingHTTPServer):
@@ -156,6 +217,11 @@ class KRCoreHTTPServer(ThreadingHTTPServer):
         self.verbose = verbose
         self._stop_lock = threading.Lock()
         self._stopped = False
+
+    @property
+    def stopped(self) -> bool:
+        """True once :meth:`stop` has begun; no request is served after."""
+        return self._stopped
 
     def stop(self, from_request: bool = False) -> None:
         """Stop serving and flush dirty state (idempotent, thread-safe)."""

@@ -1,8 +1,14 @@
 """Query service + HTTP daemon: parity with direct sessions, coalescing,
-edits, flush/warm restart, and error mapping."""
+edits, flush/warm restart, error mapping, and kept-alive connections
+(one write per reply, request framing, hang-ups, shutdown)."""
 
+import http.client
 import json
+import socket
+import statistics
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,6 +18,7 @@ from conftest import as_sorted_sets, make_random_attr_graph
 from repro.core.session import KRCoreSession
 from repro.exceptions import ServiceError
 from repro.serve import KRCoreService, make_server, run_server
+from repro.serve.http import KRCoreRequestHandler
 from repro.serve.service import _Inflight
 from repro.store import GraphStore, codec
 
@@ -289,18 +296,25 @@ class TestEditsAndFlush:
 # ----------------------------------------------------------------------
 
 @pytest.fixture
-def http_server(stored):
+def live_server(stored):
+    """A running daemon; a test may swap its handler class or patch its
+    service before connecting."""
     service = KRCoreService(GraphStore(stored))
     server = make_server(service, port=0)
     ready = threading.Event()
     thread = threading.Thread(target=run_server, args=(server, ready))
     thread.start()
     assert ready.wait(5.0)
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
+    yield server
     server.stop()
     thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def http_server(live_server):
+    host, port = live_server.server_address[:2]
+    return f"http://{host}:{port}"
 
 
 def _get(base, path):
@@ -419,6 +433,255 @@ def test_urlopen_get_404_maps(http_server):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(http_server + "/graphs/g/unknown", timeout=10)
     assert err.value.code == 404
+
+
+# ----------------------------------------------------------------------
+# Keep-alive connections: one write per reply, Nagle off, framing kept
+# ----------------------------------------------------------------------
+
+def _connect(server):
+    """A plain keep-alive client: default socket options, no TCP_NODELAY."""
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=10)
+
+
+def _call(conn, method, path, body=None, headers=None):
+    conn.request(method, path, body=body, headers=headers or {})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+def _raw_exchange(server, request):
+    """Send raw request bytes; read until the server closes the socket.
+
+    The 5 s timeout turns "the server never answers or never closes"
+    into a test failure rather than a hang.
+    """
+    with socket.create_connection(server.server_address[:2], timeout=5) as s:
+        s.sendall(request)
+        chunks = []
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _parse_reply(raw):
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+STATS_BODY = json.dumps({"k": 2, "r": 0.3})
+JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+class _CountingWriter:
+    """Stands in for a handler's ``wfile``; logs each write's size."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+
+    def write(self, data):
+        self.log.append(len(data))
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class _CountingHandler(KRCoreRequestHandler):
+    def setup(self):
+        super().setup()
+        self.server.nodelay.append(self.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        self.wfile = _CountingWriter(self.wfile, self.server.writes)
+
+
+class _HungUpWriter(_CountingWriter):
+    """A peer that closed before its answer: every write breaks."""
+
+    def write(self, data):
+        self.log.append(len(data))
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class _HungUpHandler(KRCoreRequestHandler):
+    def setup(self):
+        super().setup()
+        self.wfile = _HungUpWriter(self.wfile, self.server.writes)
+
+
+class TestKeepAlive:
+    def test_nodelay_and_one_write_per_reply(self, live_server):
+        live_server.RequestHandlerClass = _CountingHandler
+        live_server.nodelay, live_server.writes = [], []
+        conn = _connect(live_server)
+        try:
+            status, _ = _call(conn, "POST", "/graphs/g/statistics",
+                              STATS_BODY, JSON_HEADERS)
+            assert status == 200 and len(live_server.writes) == 1
+            status, _ = _call(conn, "GET", "/graphs/nope/stats")
+            assert status == 404 and len(live_server.writes) == 2
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("injected")
+
+            live_server.service.handle = boom
+            status, body = _call(conn, "GET", "/graphs/g/stats")
+            assert status == 500 and "injected" in body["error"]
+            assert len(live_server.writes) == 3
+        finally:
+            conn.close()
+        # one connection, accepted with Nagle off
+        assert len(live_server.nodelay) == 1 and live_server.nodelay[0]
+
+    def test_keepalive_small_reads_are_not_stalled(self, live_server):
+        direct = KRCoreSession(service_graph()).statistics(2, 0.3)
+        conn = _connect(live_server)
+        try:
+            _call(conn, "POST", "/graphs/g/statistics", STATS_BODY,
+                  JSON_HEADERS)  # warm the result cache
+            latencies = []
+            for _ in range(20):
+                start = time.perf_counter()
+                status, body = _call(conn, "POST", "/graphs/g/statistics",
+                                     STATS_BODY, JSON_HEADERS)
+                latencies.append(time.perf_counter() - start)
+                assert status == 200
+                assert all(body[key] == value for key, value in direct.items())
+        finally:
+            conn.close()
+        # a split reply waits ~40 ms on the client's delayed ACK
+        assert statistics.median(latencies) < 0.020
+
+    def test_unread_bodies_do_not_desync_the_connection(self, live_server):
+        direct = KRCoreSession(service_graph()).statistics(2, 0.3)
+        conn = _connect(live_server)
+        try:
+            conn.connect()
+            sock = conn.sock
+            for method, path, want in (
+                ("POST", "/graphs/g/bogus", 404),
+                ("POST", "/nope", 404),
+                ("POST", "/flush", 200),
+                ("GET", "/health", 200),
+            ):
+                status, _ = _call(conn, method, path, STATS_BODY,
+                                  JSON_HEADERS)
+                assert status == want, (method, path)
+                status, body = _call(conn, "POST", "/graphs/g/statistics",
+                                     STATS_BODY, JSON_HEADERS)
+                assert status == 200, (method, path)
+                assert all(body[key] == value for key, value in direct.items())
+            assert conn.sock is sock  # never reconnected
+        finally:
+            conn.close()
+
+    def test_shutdown_with_body_answers_and_closes(self, live_server):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+            b"\r\n{}",
+        )
+        status, headers, body = _parse_reply(raw)
+        assert status == 200 and body["shutting_down"] is True
+        assert headers["Connection"] == "close"
+
+    def test_kept_alive_connection_is_refused_after_shutdown(
+            self, live_server):
+        conn = _connect(live_server)
+        try:
+            status, _ = _call(conn, "POST", "/graphs/g/statistics",
+                              STATS_BODY, JSON_HEADERS)
+            assert status == 200
+            live_server.stop()
+            # the store is closed: no answer from a stale session, no 500
+            conn.request("GET", "/graphs/g/edits")
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == 503 and "shutting down" in body["error"]
+            assert resp.getheader("Connection") == "close"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"1e3", b""])
+    def test_bad_content_length_is_400_and_closes(self, live_server,
+                                                  declared):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /graphs/g/statistics HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + declared + b"\r\n\r\n" + STATS_BODY.encode(),
+        )
+        status, headers, body = _parse_reply(raw)
+        assert status == 400 and "Content-Length" in body["error"]
+        assert headers["Connection"] == "close"
+
+    def test_oversized_body_is_413_and_closes(self, live_server):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /graphs/g/statistics HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n{}" % (16 * 1024 * 1024 + 1),
+        )
+        status, headers, body = _parse_reply(raw)
+        assert status == 413 and "too large" in body["error"]
+        assert headers["Connection"] == "close"
+
+    def test_chunked_body_is_411_and_closes(self, live_server):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /graphs/g/statistics HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        )
+        status, headers, body = _parse_reply(raw)
+        assert status == 411 and "Content-Length" in body["error"]
+        assert headers["Connection"] == "close"
+
+    def test_http09_reply_is_the_bare_body(self, live_server):
+        raw = _raw_exchange(live_server, b"GET /health\r\n\r\n")
+        assert json.loads(raw)["ok"] is True
+
+    def test_idle_connection_reset_is_quiet(self, live_server):
+        errors, closed = [], threading.Event()
+        live_server.handle_error = lambda request, address: errors.append(
+            address)
+        shutdown_request = live_server.shutdown_request
+
+        def record_close(request):
+            shutdown_request(request)
+            closed.set()
+
+        # socketserver reports a handler's error, then closes its socket
+        live_server.shutdown_request = record_close
+        with socket.create_connection(live_server.server_address[:2],
+                                      timeout=5) as s:
+            s.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert s.recv(65536).startswith(b"HTTP/1.1 200")
+            # abortive close: the server's next read sees a reset
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                         struct.pack("ii", 1, 0))
+        assert closed.wait(5.0)
+        assert errors == []
+
+    def test_client_hangup_ends_the_connection_quietly(self, live_server):
+        errors = []
+        live_server.handle_error = lambda request, address: errors.append(
+            address)
+        live_server.RequestHandlerClass = _HungUpHandler
+        live_server.writes = []
+        conn = _connect(live_server)
+        try:
+            with pytest.raises(http.client.RemoteDisconnected):
+                _call(conn, "GET", "/health")
+        finally:
+            conn.close()
+        # nothing was re-raised into socketserver's traceback printer,
+        # and the failed reply was not retried as a 500
+        assert errors == []
+        assert len(live_server.writes) == 1
+
 
 # A graph whose k=2, r=0.3 maximum search provably needs more than one
 # search node, so ``node_limit=1`` trips even on a cold session.
