@@ -25,11 +25,10 @@ each with a non-trivial search tree:
 * **giant** — ONE large onion component in maximum mode: the workload
   component-level fan-out cannot touch (a single component is a single
   task, so ``executor="process"`` measures ~1x here — reported to prove
-  it).  Branch-level work sharing (``split_depth`` +
-  ``executor="shm"``) splits the top of its AdvMax branch tree into
-  independent subtree tasks over one zero-copy shared segment; the
-  speedup of that plan over the serial unsplit baseline is the
-  tentpole's headline number.
+  it).  Branch-level work sharing (``split_depth`` on
+  ``executor="process"``) splits the top of its AdvMax branch tree into
+  independent subtree tasks; the speedup of that plan over the serial
+  unsplit baseline is the giant regime's headline number.
 
 All modes double as an equivalence check: every pool run must emit
 exactly the serial results (and the split runs must match the inline
@@ -83,8 +82,8 @@ GIANT_SPLIT_DEPTH = 3
 
 #: Full-mode gate: enumeration speedup at the benchmark worker count.
 PARALLEL_GATE = 1.8
-#: Full-mode gate: giant-component speedup of the shm + split plan over
-#: the serial unsplit baseline (where the process executor gets ~1x).
+#: Full-mode gate: giant-component speedup of the process + split plan
+#: over the serial unsplit baseline (where the unsplit pool gets ~1x).
 SPLIT_GATE = 1.5
 
 
@@ -129,11 +128,11 @@ def solve_max(graph, k, predicate, config):
 
 
 def warm_pool(workers: int) -> float:
-    """Spawn and warm both pool flavours; returns the one-off cost (s).
+    """Spawn and warm the pool; returns the one-off cost (s).
 
-    Pools are cached per ``(workers, flavour)``, so the process and shm
-    runs below each reuse a pool spawned here — interpreter start-up
-    never pollutes a measured run.
+    Pools are cached per worker count, so every pooled run below reuses
+    the pool spawned here — interpreter start-up never pollutes a
+    measured run.
     """
     g = AttributedGraph(4)
     for u, v in ((0, 1), (1, 2), (0, 2), (2, 3), (1, 3)):
@@ -141,9 +140,8 @@ def warm_pool(workers: int) -> float:
     for u in g.vertices():
         g.set_attribute(u, frozenset({"w"}))
     t0 = time.perf_counter()
-    for flavour in ("process", "shm"):
-        cfg = adv_enum_config(executor=flavour, workers=workers)
-        solve_enum(g, 2, SimilarityPredicate("jaccard", 0.5), cfg)
+    cfg = adv_enum_config(executor="process", workers=workers)
+    solve_enum(g, 2, SimilarityPredicate("jaccard", 0.5), cfg)
     return time.perf_counter() - t0
 
 
@@ -170,7 +168,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-split-speedup", type=float, default=None,
-        help=f"giant-component shm+split speedup gate (default "
+        help=f"giant-component process+split speedup gate (default "
              f"{SPLIT_GATE} in full mode, disabled in --smoke)",
     )
     parser.add_argument(
@@ -256,14 +254,14 @@ def main(argv=None) -> int:
               f"({stats_s.components} components, {stats_s.nodes} nodes)")
 
     # Giant single component: serial unsplit baseline, process pool
-    # (one component = one task, expected ~1x), and the shm + split
+    # (one component = one task, expected ~1x), and the process + split
     # plan that actually shares the branch tree across workers.
     giant_cfgs = (
         ("serial", adv_max_config()),
         ("process", adv_max_config(executor="process", workers=args.workers)),
         ("split-inline", adv_max_config(split_depth=GIANT_SPLIT_DEPTH)),
-        ("shm-split", adv_max_config(
-            executor="shm", workers=args.workers,
+        ("process-split", adv_max_config(
+            executor="process", workers=args.workers,
             split_depth=GIANT_SPLIT_DEPTH,
         )),
     )
@@ -277,20 +275,20 @@ def main(argv=None) -> int:
               f"({stats.nodes} nodes, shared_bound={stats.shared_bound})")
     base_res = giant_runs["serial"][0]
     base_set = set(base_res.vertices) if base_res is not None else None
-    for label in ("process", "split-inline", "shm-split"):
+    for label in ("process", "split-inline", "process-split"):
         res = giant_runs[label][0]
         got = set(res.vertices) if res is not None else None
         if got != base_set:
             failures += 1
             print(f"FAIL: giant {label} result differs from serial")
-    si, ss = giant_runs["split-inline"][1], giant_runs["shm-split"][1]
-    if (si.nodes, si.shared_bound) != (ss.nodes, ss.shared_bound):
+    si, sp = giant_runs["split-inline"][1], giant_runs["process-split"][1]
+    if (si.nodes, si.shared_bound) != (sp.nodes, sp.shared_bound):
         failures += 1
         print(f"FAIL: giant split stats diverged (inline {si.nodes} nodes "
-              f"vs shm {ss.nodes} nodes)")
+              f"vs pool {sp.nodes} nodes)")
     split_speedup = (
-        giant_times["serial"] / giant_times["shm-split"]
-        if giant_times["shm-split"] > 0 else float("inf")
+        giant_times["serial"] / giant_times["process-split"]
+        if giant_times["process-split"] > 0 else float("inf")
     )
     process_speedup = (
         giant_times["serial"] / giant_times["process"]
@@ -302,7 +300,7 @@ def main(argv=None) -> int:
         "components": 1,
         "serial_s": giant_times["serial"],
         "process_s": giant_times["process"],
-        "shm_split_s": giant_times["shm-split"],
+        "process_split_s": giant_times["process-split"],
         "split_inline_s": giant_times["split-inline"],
         "workers": args.workers,
         "split_depth": GIANT_SPLIT_DEPTH,
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
         "process_speedup": process_speedup,
         "nodes": giant_runs["serial"][1].nodes,
     })
-    print(f"{'giant':>10}: shm+split {split_speedup:5.2f}x vs serial "
+    print(f"{'giant':>10}: process+split {split_speedup:5.2f}x vs serial "
           f"(process alone {process_speedup:5.2f}x)")
 
     split_gate = args.min_split_speedup
@@ -378,7 +376,7 @@ def main(argv=None) -> int:
               f"< {gate:.1f}x gate at {args.workers} workers")
         return 1
     if split_gate_failed:
-        print(f"FAIL: giant shm+split speedup {split_speedup:.2f}x "
+        print(f"FAIL: giant process+split speedup {split_speedup:.2f}x "
               f"< {split_gate:.1f}x gate at {args.workers} workers")
         return 1
     print("ok")

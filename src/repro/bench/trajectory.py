@@ -306,7 +306,7 @@ class Workload:
     problem: str    # "maximum" | "enumerate"
     family: str     # adversarial family name
     backend: str    # "csr" | "python"
-    executor: str   # "serial" | "process" | "shm"
+    executor: str   # "serial" | "process"
     params: Tuple[Tuple[str, object], ...]  # instance overrides, sorted
     repeats: int
     time_cap: float
@@ -334,7 +334,7 @@ def _specs_to_workloads(specs, repeats, time_cap) -> List[Workload]:
             params=tuple(sorted(params.items())),
             repeats=repeats,
             time_cap=time_cap,
-            workers=2 if executor in ("process", "shm") else None,
+            workers=2 if executor == "process" else None,
             inner=inner,
         ))
     return out
@@ -366,7 +366,7 @@ _SMOKE_SPECS = (
 
 #: Full-size matrix: the families' engineered default instances (deep
 #: search trees), every family × both problems × both backends, plus
-#: the pool executors on the hardest workload.
+#: the process pool on the hardest workload.
 _FULL_SPECS = tuple(
     (problem, family, backend, "serial", {}, 1)
     for problem in ("maximum", "enumerate")
@@ -374,7 +374,6 @@ _FULL_SPECS = tuple(
     for backend in ("csr", "python")
 ) + (
     ("maximum", "onion", "csr", "process", {}, 1),
-    ("maximum", "onion", "csr", "shm", {}, 1),
 )
 
 

@@ -36,6 +36,7 @@ from repro.core.api import (
     find_maximum_krcore,
     krcore_statistics,
 )
+from repro.core.config import EXECUTORS
 from repro.core.session import KRCoreSession
 from repro.datasets.registry import (
     DATASETS,
@@ -65,17 +66,13 @@ def _execution_parent() -> argparse.ArgumentParser:
     ex.add_argument("--backend", choices=("csr", "python"), default=None,
                     help="preprocessing kernels: array-native CSR (default) "
                          "or the set-based python reference")
-    ex.add_argument("--executor", choices=("serial", "process", "shm"),
-                    default=None,
-                    help="execution plan: in-process serial (default), a "
-                         "process pool with pickled components, or a "
-                         "process pool with zero-copy shared-memory "
-                         "segments (results identical across all three)")
+    ex.add_argument("--executor", choices=EXECUTORS, default=None,
+                    help="execution plan: in-process serial (default) or "
+                         "a process pool with pickled components (results "
+                         "identical on both)")
     ex.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="pool width for the process/shm executors "
-                         "(needs --executor or --shm)")
-    ex.add_argument("--shm", action="store_true", default=False,
-                    help="shorthand for --executor shm")
+                    help="pool width for the process executor "
+                         "(needs --executor process)")
     ex.add_argument("--split-depth", type=int, default=None, metavar="D",
                     help="split each component's branch tree at depth D "
                          "into independent subtree tasks (0 = whole "
@@ -153,7 +150,6 @@ def _executor_overrides(args) -> dict:
         name: value
         for name, value in (
             ("executor", args.executor),
-            ("shm", args.shm or None),
             ("workers", args.workers),
             ("split_depth", args.split_depth),
         )
@@ -560,12 +556,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.set_defaults(fn=_cmd_serve)
 
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "workers", None) is not None
-        and args.executor is None
-        and not args.shm
-    ):
-        parser.error("--workers needs --executor process|shm (or --shm)")
+    if getattr(args, "workers", None) is not None and args.executor is None:
+        parser.error("--workers needs --executor process")
     try:
         return args.fn(args)
     except ReproError as exc:

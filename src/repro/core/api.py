@@ -73,9 +73,8 @@ def enumerate_maximal_krcores(
         the config's/preset's ``backend`` when given.
     plan:
         An :class:`~repro.core.config.ExecutionPlan` (or its field
-        dict) selecting the executor (``"serial"`` | ``"process"`` |
-        ``"shm"``), worker count, shared-memory transport and
-        branch-split depth in one object.  Results and merged stats are
+        dict) selecting the executor (``"serial"`` | ``"process"``),
+        worker count and branch-split depth in one object.  Results and merged stats are
         identical across executors.
     time_limit / node_limit:
         Optional budget; exceeded budgets raise

@@ -15,14 +15,12 @@ Every technique of the paper is a flag here, so the benchmark ablations
 * ``backend``            — preprocessing kernels: ``"csr"`` (array-native
   CSR adjacency + vectorised peeling, the default) or ``"python"`` (the
   original set-based code, kept as a reference fallback);
-* ``executor`` / ``workers`` / ``shm`` / ``split_depth`` — the
-  execution plan: ``"serial"`` (one core, the default), ``"process"``
-  (independent k-core components fanned out over a process pool) or
-  ``"shm"`` (the same pool fed through ``multiprocessing.shared_memory``
-  segments instead of pickled payloads; see
+* ``executor`` / ``workers`` / ``split_depth`` — the execution plan:
+  ``"serial"`` (one core, the default) or ``"process"`` (independent
+  k-core components fanned out over a process pool; see
   :mod:`repro.core.executor`).  ``split_depth`` additionally splits the
   top of each maximum search tree into independent subtree tasks.
-  Results and merged stats are identical across executors; the four
+  Results and merged stats are identical across executors; the three
   knobs travel together as an :class:`ExecutionPlan`.
 """
 
@@ -52,7 +50,7 @@ QUERY_MODES = ("exact", "anytime", "heuristic")
 MAXIMAL_CHECKS = ("search", "pairwise", "none")
 BOUNDS = ("naive", "color-kcore", "kkprime")
 BACKENDS = ("csr", "python")
-EXECUTORS = ("serial", "process", "shm")
+EXECUTORS = ("serial", "process")
 
 #: Cap on :attr:`ExecutionPlan.split_depth`: the subtree frontier is at
 #: most ``2**split_depth`` frames, so this bounds the task fan-out of a
@@ -65,15 +63,11 @@ def _is_int(value) -> bool:
 
 
 def _normalise_execution(obj) -> None:
-    """Sync ``executor``/``shm`` and validate the four execution knobs.
+    """Validate the three execution knobs.
 
     Shared by :class:`ExecutionPlan` and :class:`SearchConfig`, which
     both carry the knobs as fields.
     """
-    if obj.shm and obj.executor != "shm":
-        object.__setattr__(obj, "executor", "shm")
-    elif obj.executor == "shm" and not obj.shm:
-        object.__setattr__(obj, "shm", True)
     if obj.executor not in EXECUTORS:
         raise InvalidParameterError(
             f"executor must be one of {EXECUTORS}, got {obj.executor!r}"
@@ -95,21 +89,15 @@ def _normalise_execution(obj) -> None:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """How component searches execute — the four knobs as one object.
+    """How component searches execute — the three knobs as one object.
 
     The single execution value threaded through :class:`SearchConfig`,
     :class:`~repro.core.session.KRCoreSession`, the one-shot API, the
     CLI and the service request knobs.
-
-    ``executor`` and ``shm`` are two spellings of one choice and are
-    kept in sync on construction: ``executor="shm"`` implies
-    ``shm=True`` and vice versa (``shm=True`` promotes any other
-    executor to ``"shm"``).
     """
 
-    executor: str = "serial"            # "serial" | "process" | "shm"
+    executor: str = "serial"            # "serial" | "process"
     workers: Optional[int] = None       # pool size; None = os.cpu_count()
-    shm: bool = False                   # shared-memory task transport
     split_depth: int = 0                # branch-tree split depth (maximum)
 
     def __post_init__(self) -> None:
@@ -164,9 +152,8 @@ class SearchConfig:
     bound: str = "kkprime"              # size upper bound (§6.2)
     warm_start: bool = False            # greedy lower bound before searching
     backend: str = "csr"                # preprocessing kernels: "csr" or "python"
-    executor: str = "serial"            # "serial" | "process" | "shm"
+    executor: str = "serial"            # "serial" | "process"
     workers: Optional[int] = None       # process-pool size; None = os.cpu_count()
-    shm: bool = False                   # shared-memory task transport
     split_depth: int = 0                # maximum-search branch split depth
     seed: int = 0                       # RNG seed for the random order
     time_limit: Optional[float] = None  # seconds; None = unlimited
@@ -231,7 +218,6 @@ class SearchConfig:
         return ExecutionPlan(
             executor=self.executor,
             workers=self.workers,
-            shm=self.shm,
             split_depth=self.split_depth,
         )
 
@@ -239,22 +225,12 @@ class SearchConfig:
         """Copy with some fields replaced (ablation helper).
 
         ``plan=`` (an :class:`ExecutionPlan` or its field dict) expands
-        into the four execution fields.  Overriding ``executor`` alone
-        re-derives ``shm`` (and vice versa) so a plain
-        ``evolve(executor="serial")`` on an shm config does not snap
-        back to ``"shm"`` through the constructor normalisation.
+        into the three execution fields.
         """
         plan = resolve_execution_plan(changes.pop("plan", None))
         if plan is not None:
             for name in _PLAN_FIELDS:
                 changes.setdefault(name, getattr(plan, name))
-        elif "executor" in changes and "shm" not in changes:
-            changes["shm"] = changes["executor"] == "shm"
-        elif "shm" in changes and "executor" not in changes:
-            if changes["shm"]:
-                changes["executor"] = "shm"
-            elif self.executor == "shm":
-                changes["executor"] = "process"
         return replace(self, **changes)
 
 

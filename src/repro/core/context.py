@@ -241,26 +241,6 @@ class BitsetComponentContext:
         self._adopt_rows(nbr, dis)
         return self
 
-    @classmethod
-    def from_packed(
-        cls,
-        verts: np.ndarray,
-        nbr: np.ndarray,
-        dis: np.ndarray,
-    ) -> "BitsetComponentContext":
-        """Rebuild from already-packed rows, skipping the O(n²) loop.
-
-        The shared-memory executor ships the coordinator's ``nbr``/``dis``
-        matrices (and sorted ``verts``) to workers verbatim; everything
-        else is derived by the same two steps ``__init__`` runs, so the
-        rebuilt context is indistinguishable from one packed in place.
-        The caller must own the arrays (they are stored, not copied).
-        """
-        self = cls.__new__(cls)
-        self._layout(np.asarray(verts, dtype=np.int64))
-        self._adopt_rows(nbr, dis)
-        return self
-
     def _layout(self, verts: np.ndarray) -> None:
         """Everything that depends on the vertex set alone."""
         n = int(verts.size)

@@ -28,18 +28,17 @@ execution layer that exploits that:
   two-phase schedule (see :func:`repro.core.solver.iter_maximum_batches`).
 
 Selection happens via the config's :class:`~repro.core.config.ExecutionPlan`
-(``executor`` ``"serial"`` | ``"process"`` | ``"shm"``, plus ``workers``,
-``shm`` and ``split_depth``); :func:`make_executor` maps a config to
-``None`` (the classic in-process path), a :class:`SerialExecutor`
-(``workers=1`` — the degenerate pool, exercised so the task path never
-rots), or a :class:`ParallelExecutor`.  On the ``"shm"`` flavour the
-component arrays travel through ``multiprocessing.shared_memory``
-segments (:mod:`repro.core.shm`) instead of pickle: the task itself is
-a name+offset descriptor, the executors unlink each segment as soon as
-its outcomes merge, and :func:`shutdown_pools` / interpreter exit sweep
-anything a crashed run left behind.  ``split_depth > 0`` additionally
-splits each maximum component's branch tree into independent subtree
-tasks (see :func:`repro.core.solver.solve_component_split`), batched
+(``executor`` ``"serial"`` | ``"process"``, plus ``workers`` and
+``split_depth``); :func:`make_executor` maps a config to ``None`` (the
+classic in-process path), a :class:`SerialExecutor` (``workers=1`` — the
+degenerate pool, exercised so the task path never rots), or a
+:class:`ParallelExecutor`.  A task pickles its component's vertices,
+adjacency and dissimilarity rows, plus the coordinator's packed
+:class:`~repro.core.context.BitsetComponentContext` when it already
+holds one, so a worker searches those matrices instead of repacking
+them.  ``split_depth > 0`` additionally splits each maximum component's
+branch tree into independent subtree tasks (see
+:func:`repro.core.solver.solve_component_split`), batched
 :data:`SPLIT_BATCH` wide under the same two-phase discipline.
 
 Results and merged stats counters are identical across executors by
@@ -76,14 +75,6 @@ from repro.core.config import (  # noqa: F401  (ExecutionPlan re-exported)
     SearchConfig,
 )
 from repro.core.context import BitsetComponentContext, Budget, ComponentContext
-from repro.core.shm import (
-    ShmComponentPayload,
-    pack_component,
-    publish_bound,
-    release_segment,
-    sweep_segments,
-    unpack_component,
-)
 from repro.core.stats import SearchStats
 from repro.exceptions import (
     ComponentExecutionError,
@@ -181,17 +172,12 @@ class ComponentTask:
     time_left: Optional[float] = None      # remaining wall budget (seconds)
     inject: Optional[str] = None           # test-only fault injection
     env: Dict[str, str] = field(default_factory=dict)  # replayed env flags
-    # --- shm / branch-split extensions --------------------------------
-    #: When set, ``vertices``/``adj``/``dissimilar`` are empty and the
-    #: component arrays live in this shared-memory segment instead — the
-    #: task pickles as a name+offset descriptor.
-    shm_payload: Optional[ShmComponentPayload] = None
+    #: The coordinator's packed form of the component, when it holds
+    #: one: the worker searches it instead of repacking the rows.
+    bitset: Optional[BitsetComponentContext] = None
     #: Subtree root of a branch-split task (maximum mode only): the
     #: worker searches this frame instead of the whole component.
     frame: Optional[Tuple] = None
-    #: Segment name of the component's :class:`~repro.core.shm.SharedBound`
-    #: (branch-split tasks only; advisory, never read for pruning).
-    bound_name: Optional[str] = None
 
 
 @dataclass
@@ -220,35 +206,26 @@ def component_task(
     *,
     bitset: Optional[BitsetComponentContext] = None,
     frame: Optional[Tuple] = None,
-    bound_name: Optional[str] = None,
-    shm_payload: Optional[ShmComponentPayload] = None,
 ) -> ComponentTask:
     """Build a task from prepared component pieces.
 
     The config is normalised for the worker: the executor knobs are
-    stripped (a worker never re-enters a pool, never re-packs a
-    segment) and the wall budget is carried as the explicit
-    ``time_left`` the coordinator computed from its own deadline;
-    ``node_limit`` stays — each worker enforces it on its own
-    component, and the coordinator re-checks the cumulative sum.
-
-    On an shm config the component arrays are placed in a fresh shared
-    segment (``bitset`` rides along when the coordinator already holds
-    the packed matrices, so workers skip the O(n²) packing loop) and
-    the task ships only the descriptor.  ``shm_payload`` passes a
-    pre-built — typically *shared* — segment instead, the branch-split
-    fan-out's one-segment-many-subtasks case.
+    stripped (a worker never re-enters a pool) and the wall budget is
+    carried as the explicit ``time_left`` the coordinator computed from
+    its own deadline; ``node_limit`` stays — each worker enforces it on
+    its own component, and the coordinator re-checks the cumulative sum.
+    ``bitset`` is the coordinator's packed form when it already holds
+    one, so the worker skips the O(n²) packing loop.
     """
-    cfg = config.evolve(executor="serial", workers=None, time_limit=None)
-    payload = shm_payload
-    if payload is None and config.shm:
-        payload = pack_component(vertices, adj, index, bitset=bitset)
-    common = dict(
+    return ComponentTask(
         cid=cid,
         mode=mode,
         engine=engine,
+        vertices=vertices,
+        adj=adj,
+        dissimilar=index.rows(),
         k=k,
-        config=cfg,
+        config=config.evolve(executor="serial", workers=None, time_limit=None),
         seed_best=seed_best,
         time_left=time_left,
         inject=os.environ.get(INJECT_ENV) or None,
@@ -257,16 +234,8 @@ def component_task(
             for name in _PROPAGATED_ENV
             if name in os.environ
         },
+        bitset=bitset,
         frame=frame,
-        bound_name=bound_name,
-    )
-    if payload is not None:
-        return ComponentTask(
-            vertices=frozenset(), adj={}, dissimilar={},
-            shm_payload=payload, **common,
-        )
-    return ComponentTask(
-        vertices=vertices, adj=adj, dissimilar=index.rows(), **common,
     )
 
 
@@ -278,15 +247,12 @@ def task_from_context(
     seed_best: Optional[FrozenSet[int]] = None,
     time_left: Optional[float] = None,
     frame: Optional[Tuple] = None,
-    bound_name: Optional[str] = None,
-    shm_payload: Optional[ShmComponentPayload] = None,
 ) -> ComponentTask:
     """:func:`component_task` from a prepared :class:`ComponentContext`."""
     return component_task(
         cid, mode, engine, ctx.vertices, ctx.adj, ctx.index, ctx.k,
         ctx.config, seed_best=seed_best, time_left=time_left,
-        bitset=ctx.bitset, frame=frame, bound_name=bound_name,
-        shm_payload=shm_payload,
+        bitset=ctx.bitset, frame=frame,
     )
 
 
@@ -319,39 +285,25 @@ def solve_component_task(task: ComponentTask) -> TaskOutcome:
                 f"injected worker fault ({INJECT_ENV}=raise)"
             )
         if task.inject == "exit":
-            # Hard worker death (segment-lifecycle tests): the process
+            # Hard worker death (pool-recovery tests): the process
             # vanishes mid-task, breaking the pool.
             os._exit(86)
-        if task.shm_payload is not None:
-            vertices, adj, index, bitset = unpack_component(task.shm_payload)
-        else:
-            vertices = task.vertices
-            adj = task.adj
-            index = DissimilarityIndex(task.dissimilar)
-            bitset = None
         ctx = ComponentContext(
-            vertices=vertices,
-            adj=adj,
-            index=index,
+            vertices=task.vertices,
+            adj=task.adj,
+            index=DissimilarityIndex(task.dissimilar),
             k=task.k,
             config=task.config,
             stats=stats,
             budget=Budget(task.time_left, task.config.node_limit),
             rng=random.Random(task.config.seed),
-            bitset=bitset,
+            bitset=task.bitset,
         )
         if task.mode == "maximum":
             if task.frame is not None:
                 found = solve_subtree(ctx, task.frame, task.seed_best)
             else:
                 found = find_maximum_in_component(ctx, task.seed_best)
-            if task.bound_name is not None:
-                # Advisory incumbent publish: the value is this task's
-                # deterministic result size, so the merged high-water
-                # mark is executor-independent.
-                size = len(found) if found else 0
-                stats.shared_bound = size
-                publish_bound(task.bound_name, size)
             return TaskOutcome(task.cid, "ok", result=found, stats=stats)
         component_fn = resolve_engine(task.engine)
         return TaskOutcome(
@@ -385,22 +337,6 @@ def raise_for_outcome(out: TaskOutcome) -> None:
 # Executors
 # ----------------------------------------------------------------------
 
-def _release_task_segments(tasks: Sequence[ComponentTask]) -> None:
-    """Unlink every *task-private* segment of a finished batch.
-
-    Segments marked ``shared`` back several tasks (the branch-split
-    fan-out) and belong to whoever created them
-    (:func:`repro.core.solver.solve_component_split` releases its own);
-    everything else dies with its task.  Idempotent — executors call
-    this from ``finally`` so worker death and KeyboardInterrupt cannot
-    strand ``/dev/shm`` blocks.
-    """
-    for task in tasks:
-        payload = task.shm_payload
-        if payload is not None and not payload.shared:
-            release_segment(payload.segment)
-
-
 class SerialExecutor:
     """Runs tasks inline, in order, through the same worker entry point.
 
@@ -416,14 +352,11 @@ class SerialExecutor:
 
     def run(self, tasks: Sequence[ComponentTask]) -> List[TaskOutcome]:
         outcomes: List[TaskOutcome] = []
-        try:
-            for task in tasks:
-                out = solve_component_task(task)
-                outcomes.append(out)
-                if out.status != "ok":
-                    break
-        finally:
-            _release_task_segments(tasks)
+        for task in tasks:
+            out = solve_component_task(task)
+            outcomes.append(out)
+            if out.status != "ok":
+                break
         return outcomes
 
 
@@ -433,40 +366,35 @@ class ParallelExecutor:
     Tasks are submitted in the given (hardness-ordered) sequence and
     outcomes are returned in the same order regardless of completion
     order, so the coordinator's stats merge is deterministic.  The pool
-    itself is cached per ``(workers, flavour)`` across all executors in
-    the process (spawning interpreters is the dominant cost; reuse
-    makes repeated queries, fuzz sweeps and test suites cheap) and is
-    torn down at interpreter exit — the flavour key keeps a broken
-    ``"shm"`` run from evicting the healthy ``"process"`` pool and vice
-    versa.  A broken pool (a worker died) or a KeyboardInterrupt evicts
-    the cached pool so the next run starts clean; either way every
-    task-private shared-memory segment is unlinked on the way out.
+    itself is cached per worker count across all executors in the
+    process (spawning interpreters is the dominant cost; reuse makes
+    repeated queries, fuzz sweeps and test suites cheap) and is torn
+    down at interpreter exit.  A broken pool (a worker died) or a
+    KeyboardInterrupt evicts the cached pool so the next run starts
+    clean.
     """
 
-    def __init__(self, workers: int, flavour: str = "process"):
+    def __init__(self, workers: int):
         if workers < 1:
             raise InvalidParameterError(
                 f"workers must be a positive integer, got {workers}"
             )
         self.workers = workers
-        self.flavour = flavour
 
     def run(self, tasks: Sequence[ComponentTask]) -> List[TaskOutcome]:
-        pool = _get_pool(self.workers, self.flavour)
+        pool = _get_pool(self.workers)
         try:
             futures = [pool.submit(solve_component_task, t) for t in tasks]
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:
-            _evict_pool(self.workers, self.flavour)
+            _evict_pool(self.workers)
             raise ComponentExecutionError(
                 f"worker pool broke while solving {len(tasks)} component "
                 f"task(s): {exc}", error_type="BrokenProcessPool",
             ) from exc
         except KeyboardInterrupt:
-            _evict_pool(self.workers, self.flavour)
+            _evict_pool(self.workers)
             raise
-        finally:
-            _release_task_segments(tasks)
 
 
 def effective_workers(workers: Optional[int]) -> int:
@@ -479,27 +407,23 @@ def make_executor(config: SearchConfig):
 
     ``None`` means the classic in-process serial path (shared budget,
     warm bitset caches — the solvers keep their original loops);
-    ``workers=1`` process/shm configs degenerate to
-    :class:`SerialExecutor` so a single-core machine never pays pool
-    overhead (shm tasks still pack and map their segments in-process,
-    keeping the transport path exercised).
+    ``workers=1`` process configs degenerate to :class:`SerialExecutor`
+    so a single-core machine never pays pool overhead.
     """
     if config.executor == "serial":
         return None
     workers = effective_workers(config.workers)
     if workers <= 1:
         return SerialExecutor()
-    return ParallelExecutor(workers, flavour=config.executor)
+    return ParallelExecutor(workers)
 
 
 # ----------------------------------------------------------------------
 # Pool cache
 # ----------------------------------------------------------------------
 
-#: Cached spawn pools keyed by ``(workers, flavour)``.  Keying by the
-#: flavour too means evicting one flavour's broken pool never tears
-#: down the other's healthy workers mid-sweep.
-_POOLS: Dict[Tuple[int, str], _ProcessPool] = {}
+#: Cached spawn pools keyed by worker count.
+_POOLS: Dict[int, _ProcessPool] = {}
 
 
 def _package_search_path() -> str:
@@ -509,8 +433,8 @@ def _package_search_path() -> str:
     )
 
 
-def _get_pool(workers: int, flavour: str = "process") -> _ProcessPool:
-    pool = _POOLS.get((workers, flavour))
+def _get_pool(workers: int) -> _ProcessPool:
+    pool = _POOLS.get(workers)
     if pool is None:
         # Spawned children import repro from scratch; when the parent is
         # running off a *source tree* (found via sys.path / PYTHONPATH),
@@ -534,23 +458,20 @@ def _get_pool(workers: int, flavour: str = "process") -> _ProcessPool:
             max_workers=workers,
             mp_context=multiprocessing.get_context("spawn"),
         )
-        _POOLS[(workers, flavour)] = pool
+        _POOLS[workers] = pool
     return pool
 
 
-def _evict_pool(workers: int, flavour: str = "process") -> None:
-    pool = _POOLS.pop((workers, flavour), None)
+def _evict_pool(workers: int) -> None:
+    pool = _POOLS.pop(workers, None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
 def shutdown_pools() -> None:
-    """Tear down every cached worker pool and unlink any leaked
-    shared-memory segments (idempotent) — a crashed or interrupted run
-    can't strand ``/dev/shm`` blocks past this call."""
-    for workers, flavour in list(_POOLS):
-        _evict_pool(workers, flavour)
-    sweep_segments()
+    """Tear down every cached worker pool (idempotent)."""
+    for workers in list(_POOLS):
+        _evict_pool(workers)
 
 
 atexit.register(shutdown_pools)

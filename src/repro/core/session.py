@@ -1072,7 +1072,7 @@ class KRCoreSession:
         Budgets never change a *completed* component's result (results
         are cached only after a component finishes searching), and the
         execution layer never changes any result at all, so
-        budget-limited/unlimited and serial/parallel/shm runs all share
+        budget-limited/unlimited and serial/parallel runs all share
         cache entries.  ``split_depth`` stays: unlike the executor it
         reshapes the search *schedule* itself (identically on every
         executor), so it is treated as a result-relevant knob and split

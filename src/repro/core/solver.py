@@ -50,7 +50,6 @@ from repro.core.executor import (
     task_from_context,
 )
 from repro.core.maximum import solve_subtree, split_frontier
-from repro.core.shm import SharedBound, pack_component, release_segment
 from repro.core.naive import naive_enumerate_component
 from repro.exceptions import InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
@@ -349,13 +348,8 @@ def solve_component_split(
     member seeded with the best core known *before* the batch, exactly
     the two-phase discipline of the component schedule — so the result
     and the merged stats are a pure function of ``split_depth``,
-    identical on the inline, process and shm paths.
-
-    On a pool, one *shared* segment carries the component for every
-    subtree task (shm flavour), and a
-    :class:`~repro.core.shm.SharedBound` channel surfaces the incumbent
-    high-water mark; both are created here and released here, whatever
-    happens in between.
+    identical on the inline and process paths.  ``stats.shared_bound``
+    records the size of the best core the split search ends with.
     """
     cfg = ctx.config
     stats = ctx.stats
@@ -363,64 +357,36 @@ def solve_component_split(
     best, frames = split_frontier(ctx, seed, cfg.split_depth)
     if not frames:
         return best
-    if executor is None:
-        # Inline: subtrees share this run's stats and budget directly;
-        # each gets a fresh rng (the same one its task twin would get)
-        # so the split schedule is executor-independent.
-        for at in range(0, len(frames), SPLIT_BATCH):
-            batch_seed = best
-            for frame in frames[at:at + SPLIT_BATCH]:
+    for at in range(0, len(frames), SPLIT_BATCH):
+        batch_seed = best
+        batch = frames[at:at + SPLIT_BATCH]
+        if executor is None:
+            # Inline: subtrees share this run's stats and budget directly;
+            # each gets a fresh rng (the same one its task twin would get)
+            # so the split schedule is executor-independent.
+            founds = []
+            for frame in batch:
                 sub = copy.copy(ctx)
                 sub.rng = random.Random(cfg.seed)
-                found = solve_subtree(sub, frame, batch_seed)
-                if improves(found, batch_seed) and (
-                    best is None or len(found) > len(best)
-                ):
-                    best = found
-        stats.shared_bound = max(
-            stats.shared_bound, len(best) if best else 0
-        )
-        return best
-
-    payload = None
-    bound = None
-    try:
-        if cfg.shm:
-            payload = pack_component(
-                ctx.vertices, ctx.adj, ctx.index,
-                bitset=ctx.bitset, shared=True,
-            )
-        bound = SharedBound.create(len(best) if best else 0)
-        for at in range(0, len(frames), SPLIT_BATCH):
-            batch_seed = best
-            bound.publish(len(batch_seed) if batch_seed else 0)
+                founds.append(solve_subtree(sub, frame, batch_seed))
+        else:
             tasks = [
                 task_from_context(
                     at + j, ctx, "maximum", seed_best=batch_seed,
                     time_left=remaining_time(budget), frame=frame,
-                    bound_name=bound.name, shm_payload=payload,
                 )
-                for j, frame in enumerate(frames[at:at + SPLIT_BATCH])
+                for j, frame in enumerate(batch)
             ]
-            founds: List[Optional[FrozenSet[int]]] = []
-            try:
-                for out in executor.run(tasks):
-                    merge_outcome(out, stats, cfg.node_limit)
-                    founds.append(out.result)
-            finally:
-                for found in founds:
-                    if improves(found, batch_seed) and (
-                        best is None or len(found) > len(best)
-                    ):
-                        best = found
-        stats.shared_bound = max(
-            stats.shared_bound, len(best) if best else 0
-        )
-    finally:
-        if payload is not None:
-            release_segment(payload.segment)
-        if bound is not None:
-            bound.release()
+            founds = []
+            for out in executor.run(tasks):
+                merge_outcome(out, stats, cfg.node_limit)
+                founds.append(out.result)
+        for found in founds:
+            if improves(found, batch_seed) and (
+                best is None or len(found) > len(best)
+            ):
+                best = found
+    stats.shared_bound = max(stats.shared_bound, len(best) if best else 0)
     return best
 
 

@@ -40,9 +40,9 @@ class SearchStats:
                                    # core at a smaller k or looser r
     threshold_seeds: int = 0       # filtered graphs built inside a cached
                                    # looser-threshold core, not the graph
-    shared_bound: int = 0          # best incumbent size published via the
-                                   # cross-worker shared bound (advisory;
-                                   # 0 unless split subtree tasks ran)
+    shared_bound: int = 0          # size of the best core a branch-split
+                                   # search ended with (0 unless split
+                                   # subtrees ran)
     elapsed: float = 0.0           # wall-clock seconds
     timed_out: bool = False        # a budget cap was hit (results partial)
 
@@ -50,7 +50,7 @@ class SearchStats:
         """Accumulate another run's counters into this one.
 
         Every int field is a count and adds up, except ``shared_bound``:
-        the shared incumbent bound is a high-water mark.  ``elapsed``
+        the split incumbent size is a high-water mark.  ``elapsed``
         adds up and ``timed_out`` is sticky.
         """
         for f in fields(self):

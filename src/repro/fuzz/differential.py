@@ -11,12 +11,12 @@ Three independent implementations must agree on every case:
    :mod:`repro.core.naive` (a structurally different algorithm — two
    independently wrong implementations rarely agree).
 
-A fourth axis rides along: cases sampled with a pool executor
-(``search["executor"]`` of ``"process"`` or ``"shm"``) replay the csr
-run over the worker-pool execution layer (:mod:`repro.core.executor` —
-pickled components or zero-copy shared-memory segments, possibly with a
-sampled branch ``split_depth``), which must match the serial run
-exactly — results and merged stats counters alike.
+A fourth axis rides along: cases sampled with the pool executor
+(``search["executor"] == "process"``) replay the csr run over the
+worker-pool execution layer (:mod:`repro.core.executor` — pickled
+components, possibly with a sampled branch ``split_depth``), which must
+match the serial run exactly — results and merged stats counters
+alike.
 
 Cases carrying an edit stream (``case.edits``) exercise a fifth axis:
 a session is warmed on the base graph, the edits are absorbed by the
@@ -252,13 +252,12 @@ def run_case(
     if out.disagreement is not None:
         return out
 
-    # Executor dimension: when the sampled knobs ask for a pool flavour
-    # (process or shm), the csr run is replayed over the worker pool and
-    # must match the serial run exactly — results AND merged stats
-    # counters (the parallel schedule is worker-count independent by
-    # design, and the shm transport is a pure representation change).
+    # Executor dimension: when the sampled knobs ask for the pool, the
+    # csr run is replayed over the worker pool and must match the serial
+    # run exactly — results AND merged stats counters (the parallel
+    # schedule is worker-count independent by design).
     pool = case.search.get("executor")
-    if pool in ("process", "shm"):
+    if pool == "process":
         try:
             res_pp, stats_pp = _run_backend(case, "csr", executor=pool)
         except Exception:
@@ -467,7 +466,7 @@ def run_edit_stream_case(
         return out
 
     pool = case.search.get("executor")
-    if pool in ("process", "shm"):
+    if pool == "process":
         maintained, res_serial, stats_serial = finals["csr"]
         maintained.drop_results()
         try:

@@ -9,7 +9,7 @@ the synthetic analogs in :mod:`repro.datasets` instead.
 Formats
 -------
 Edge list: one ``u<sep>v`` pair per line; ``#`` comments ignored.
-Attributes, three flavours selected by ``kind``:
+Attributes, three kinds selected by ``kind``:
 
 * ``"point"``  — ``vertex x y`` (geo coordinate, floats)
 * ``"set"``    — ``vertex item1 item2 ...`` (interest/keyword set)

@@ -230,13 +230,15 @@ class KRCoreHTTPServer(ThreadingHTTPServer):
                 return
             self._stopped = True
         if from_request:
-            # shutdown() deadlocks when called from a handler thread —
-            # hand it to a helper thread and return so the response
-            # already sent can complete.
+            # Flush first, so serve_forever (and with it run_server)
+            # returns only once the store holds the dirty state.  Then
+            # hand shutdown() to a helper thread — it deadlocks when
+            # called from a handler thread.
+            self.service.close()
             threading.Thread(target=self.shutdown, daemon=True).start()
         else:
             self.shutdown()
-        self.service.close()
+            self.service.close()
 
 
 def make_server(

@@ -198,7 +198,7 @@ class EdgeSimilarityCache:
         """Bring the cache in step with an edited graph, re-scoring only
         what changed.
 
-        ``graph`` is the post-edit substrate (the same flavour the cache
+        ``graph`` is the post-edit substrate (the same kind the cache
         was built from).  ``added_edges`` / ``removed_edges`` are the
         structural deltas; ``dirty_vertex`` marks an attribute edit, so
         only its incident edge values are recomputed.  Untouched values
@@ -348,7 +348,7 @@ class EdgeSimilarityCache:
         """Rebuild a cache from :meth:`to_payload` output without
         re-evaluating the metric.
 
-        ``graph`` must be the same frozen graph (same flavour as
+        ``graph`` must be the same frozen graph (same kind as
         ``backend``) the payload was computed on; mismatched payloads
         raise :class:`~repro.exceptions.InvalidParameterError`.
         """
@@ -476,7 +476,7 @@ class EdgeSimilarityCache:
         """The graph with every edge dissimilar at threshold ``r`` deleted.
 
         Returns a :class:`CSRGraph` (csr backend) or a fresh
-        :class:`AttributedGraph` copy (python backend) — the same flavour
+        :class:`AttributedGraph` copy (python backend) — the same kind
         the one-shot preprocessing produces.
         """
         if self._backend == "csr":

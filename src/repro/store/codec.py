@@ -20,7 +20,7 @@ import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import SearchConfig
-from repro.exceptions import StoreError
+from repro.exceptions import InvalidParameterError, StoreError
 from repro.similarity.metrics import _METRIC_NAMES
 
 #: Reverse map of the built-in metric registry: callable -> public name.
@@ -32,7 +32,7 @@ _METRIC_BY_FN: Dict[Callable, str] = {fn: name for name, fn in _METRIC_NAMES.ite
 _CONFIG_FIELDS = (
     "order", "branch", "lam", "retain_candidates", "move_similarity_free",
     "early_termination", "maximal_check", "check_order", "bound",
-    "warm_start", "backend", "executor", "workers", "shm", "split_depth",
+    "warm_start", "backend", "executor", "workers", "split_depth",
     "seed", "time_limit", "node_limit", "on_budget", "mode",
 )
 
@@ -117,10 +117,14 @@ def encode_config(cfg: SearchConfig) -> Dict[str, Any]:
 
 
 def decode_config(fields: Dict[str, Any]) -> SearchConfig:
-    """Rebuild a :class:`SearchConfig` from its field dict."""
+    """Rebuild a :class:`SearchConfig` from its field dict.
+
+    A payload naming an unknown field (one a later version dropped) or
+    an invalid value raises :class:`StoreError`, like any malformed row.
+    """
     try:
         return SearchConfig(**fields)
-    except TypeError as exc:
+    except (TypeError, InvalidParameterError) as exc:
         raise StoreError(f"malformed config payload: {exc}") from None
 
 

@@ -583,8 +583,8 @@ class TestWorkloadMatrix:
 
     def test_full_matrix_covers_executors(self):
         matrix = workload_matrix("full")
-        assert {w.executor for w in matrix} >= {"serial", "process", "shm"}
-        pool = [w for w in matrix if w.executor in ("process", "shm")]
+        assert {w.executor for w in matrix} == {"serial", "process"}
+        pool = [w for w in matrix if w.executor == "process"]
         assert all(w.workers == 2 for w in pool)
 
     def test_unknown_mode_refused(self):

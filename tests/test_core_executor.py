@@ -15,12 +15,15 @@ cases here cost task pickling, not process startup.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import as_sorted_sets, solve_enum, solve_max
 from repro.core.config import SearchConfig, adv_enum_config, adv_max_config
-from repro.core.context import Budget
+import repro.core.executor as executor_mod
+from repro.core.context import Budget, BitsetComponentContext, bitset_context
 from repro.core.executor import (
     MAXIMUM_BATCH,
     ComponentTask,
@@ -213,6 +216,41 @@ class TestTaskPickling:
             assert direct.status == replayed.status == "ok"
             assert as_sorted_sets(direct.result) == as_sorted_sets(replayed.result)
             assert_stats_parity(direct.stats, replayed.stats, "pickled task")
+
+    def test_pooled_task_carries_packed_bitset(self, monkeypatch):
+        # The coordinator already holds the component's packed matrices;
+        # the task pickles them and the worker searches them as shipped.
+        inst = family_instance("onion", maximum=True)
+        cfg = adv_max_config(executor="process", workers=2)
+        ctx = prepare_components(
+            inst.graph, inst.k, inst.predicate(), cfg,
+            SearchStats(), Budget(None, None),
+        )[0]
+        packed = bitset_context(ctx)
+        task = task_from_context(0, ctx, "maximum")
+        assert task.bitset is packed
+        repacked = solve_component_task(replace(task, bitset=None))
+        clone = pickle.loads(pickle.dumps(task))
+
+        def no_repack(*args, **kwargs):
+            raise AssertionError("the worker repacked the component")
+
+        monkeypatch.setattr(BitsetComponentContext, "__init__", no_repack)
+        seen = []
+        build = executor_mod.ComponentContext
+
+        def spy(**kwargs):
+            seen.append(kwargs["bitset"])
+            return build(**kwargs)
+
+        monkeypatch.setattr(executor_mod, "ComponentContext", spy)
+        out = solve_component_task(clone)
+        assert out.status == "ok", out.error
+        assert seen == [clone.bitset]
+        for name in ("verts", "nbr", "dis", "sim"):
+            assert np.array_equal(getattr(clone.bitset, name), getattr(packed, name))
+        assert out.result == repacked.result
+        assert_stats_parity(repacked.stats, out.stats, "shipped bitset")
 
     def test_task_config_is_normalised(self):
         inst = family_instance("borderline")

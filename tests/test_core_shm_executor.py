@@ -1,18 +1,25 @@
-"""Shared-memory executor, branch-level work sharing, ExecutionPlan.
+"""Pool transport, branch-level work sharing, ExecutionPlan.
 
-``executor="shm"`` must be invisible (results and merged
-PARITY_COUNTERS byte-identical to serial across the backend x engine x
-order matrix), branch splitting must be a pure function of
-``split_depth`` (identical inline / process / shm), segments must never
-outlive their run (worker death, KeyboardInterrupt, shutdown sweep),
-and the one ``plan=`` knob must select execution across the API, the
-session, the CLI and the service.
+A pooled task that carries the coordinator's packed bitset must be
+invisible (results and merged PARITY_COUNTERS byte-identical to serial
+across the backend x engine x order matrix), branch splitting must be a
+pure function of ``split_depth`` (identical inline and on the process
+pool), a dead worker must surface as a typed error and leave a pool
+that answers, and the one ``plan=`` knob must select execution across
+the API, the session, the CLI and the service.
+
+The module and class names date from the shared-memory transport these
+tests first covered; they are kept so test ids stay comparable.
 """
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import fields
+
 import pytest
 
+import repro.core.session as session_mod
 from conftest import as_sorted_sets, solve_enum, solve_max
 from repro.core.config import (
     MAX_SPLIT_DEPTH,
@@ -23,25 +30,8 @@ from repro.core.config import (
     resolve_execution_plan,
 )
 from repro.core.context import Budget, bitset_context
-from repro.core.executor import (
-    INJECT_ENV,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-    shutdown_pools,
-    task_from_context,
-)
+from repro.core.executor import INJECT_ENV, task_from_context
 from repro.core.session import KRCoreSession, prepare_components
-from repro.core.shm import (
-    SharedBound,
-    active_segments,
-    create_segment,
-    pack_component,
-    publish_bound,
-    release_segment,
-    sweep_segments,
-    unpack_component,
-)
 from repro.core.stats import SearchStats
 from repro.exceptions import (
     ComponentExecutionError,
@@ -63,15 +53,12 @@ from test_core_executor import (
 class TestExecutionPlan:
     def test_defaults(self):
         plan = ExecutionPlan()
+        assert [f.name for f in fields(plan)] == [
+            "executor", "workers", "split_depth",
+        ]
         assert plan.executor == "serial"
         assert plan.workers is None
-        assert plan.shm is False
         assert plan.split_depth == 0
-
-    def test_executor_and_shm_stay_in_sync(self):
-        assert ExecutionPlan(executor="shm").shm is True
-        assert ExecutionPlan(shm=True).executor == "shm"
-        assert ExecutionPlan(executor="process").shm is False
 
     @pytest.mark.parametrize("bad", (
         dict(executor="thread"),
@@ -84,6 +71,7 @@ class TestExecutionPlan:
         dict(workers="x"),
         dict(workers=2.0),
         dict(workers=True),
+        dict(executor="shm"),
     ))
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(InvalidParameterError):
@@ -93,116 +81,133 @@ class TestExecutionPlan:
         assert resolve_execution_plan() is None
 
     def test_resolve_accepts_field_dict(self):
-        plan = resolve_execution_plan(plan={"shm": True, "workers": 3})
-        assert plan == ExecutionPlan(executor="shm", workers=3, shm=True)
+        plan = resolve_execution_plan(plan={"executor": "process", "workers": 3})
+        assert plan == ExecutionPlan(executor="process", workers=3)
 
     def test_resolve_rejects_unknown_fields(self):
-        with pytest.raises(InvalidParameterError, match="split_depth"):
-            resolve_execution_plan(plan={"bogus": 1})
+        # "shm" named the retired shared-memory transport; it is now an
+        # unknown field like any other.
+        for field in ("bogus", "shm"):
+            with pytest.raises(InvalidParameterError, match="split_depth"):
+                resolve_execution_plan(plan={field: 1})
 
     def test_resolve_rejects_non_plan(self):
         with pytest.raises(InvalidParameterError):
             resolve_execution_plan(plan="shm")
 
-    def test_resolve_executor_alone_rederives_shm(self):
-        assert resolve_execution_plan(plan={"executor": "shm"}).shm is True
-        assert resolve_execution_plan(plan={"executor": "process"}).shm is False
-
-    def test_resolve_shm_true_promotes(self):
-        out = resolve_execution_plan(plan={"shm": True})
-        assert out.executor == "shm"
-
     def test_config_plan_property_roundtrip(self):
-        cfg = SearchConfig(executor="shm", workers=2, split_depth=3)
+        cfg = SearchConfig(executor="process", workers=2, split_depth=3)
         plan = cfg.plan
         assert plan == ExecutionPlan(
-            executor="shm", workers=2, shm=True, split_depth=3
+            executor="process", workers=2, split_depth=3
         )
         assert SearchConfig().evolve(plan=plan).plan == plan
 
-    def test_evolve_executor_alone_drops_shm(self):
-        cfg = SearchConfig(shm=True, workers=2)
-        serial = cfg.evolve(executor="serial")
-        assert serial.executor == "serial" and serial.shm is False
-
-    def test_evolve_shm_false_keeps_pool(self):
-        cfg = SearchConfig(shm=True, workers=2)
-        out = cfg.evolve(shm=False)
-        assert out.executor == "process" and out.workers == 2
-
-    def test_make_executor_shm_flavour(self):
-        ex = make_executor(SearchConfig(executor="shm", workers=3))
-        assert isinstance(ex, ParallelExecutor)
-        assert ex.flavour == "shm" and ex.workers == 3
-        assert isinstance(
-            make_executor(SearchConfig(executor="shm", workers=1)),
-            SerialExecutor,
-        )
-
 
 # ----------------------------------------------------------------------
-# Parity: backend x engine x order matrix, serial vs shm
+# Parity: backend x engine x order matrix, serial vs a pool whose tasks
+# carry the coordinator's packed bitsets
 # ----------------------------------------------------------------------
+
+def _warm_pool_rerun(monkeypatch, graph, query, plan):
+    """``(serial, pooled, carried)`` answers of ``query(session, plan)``.
+
+    One session answers serially first, which packs every csr component
+    and keeps the packed form; with the results dropped, a serial rerun
+    and then a pooled rerun start from the same warm preparation, so
+    every pooled task can carry its component's packed bitset.
+    ``carried`` lists, per pooled task, whether it did.
+    """
+    session = KRCoreSession(graph)
+    query(session, None)
+    session.drop_results()
+    serial = query(session, None)
+    session.drop_results()
+    carried = []
+    build = session_mod.component_task
+
+    def spy(*args, **kwargs):
+        carried.append(kwargs["bitset"] is not None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(session_mod, "component_task", spy)
+    return serial, query(session, plan), carried
+
+
+def _assert_carried(carried, packed):
+    # The bitset engine (csr backend) packs every component during the
+    # serial query; the set engines never pack, so their tasks ship the
+    # rows alone.
+    assert carried
+    assert all(carried) if packed else not any(carried)
+
 
 class TestShmParity:
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     @pytest.mark.parametrize("backend", ("python", "csr"))
     @pytest.mark.parametrize("engine", ("engine", "clique"))
-    def test_enumeration_matrix(self, family, backend, engine):
+    def test_enumeration_matrix(self, family, backend, engine, monkeypatch):
         inst = family_instance(family)
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = solve_enum(
-            inst.graph, inst.k, inst.predicate(), cfg, engine=engine
-        )
-        par, st_p = solve_enum(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="shm", workers=2), engine=engine,
+        if engine == "engine":
+            knobs = dict(config=cfg)
+        else:
+            knobs = dict(algorithm=engine, backend=backend)
+
+        def query(session, plan):
+            return session.enumerate(
+                inst.k, predicate=inst.predicate(), plan=plan,
+                with_stats=True, **knobs,
+            )
+
+        (serial, st_s), (par, st_p), carried = _warm_pool_rerun(
+            monkeypatch, inst.graph, query, {"executor": "process", "workers": 2},
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
-        assert_stats_parity(st_s, st_p, f"shm {family}/{backend}/{engine}")
-        assert active_segments() == []
+        assert_stats_parity(st_s, st_p, f"pool {family}/{backend}/{engine}")
+        if serial:
+            _assert_carried(carried, backend == "csr" and engine == "engine")
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     @pytest.mark.parametrize("backend", ("python", "csr"))
     @pytest.mark.parametrize("order", ("degree", "weighted-delta", "random"))
-    def test_maximum_matrix(self, family, backend, order):
+    def test_maximum_matrix(self, family, backend, order, monkeypatch):
         inst = family_instance(family, maximum=True)
         cfg = adv_max_config(backend=backend, order=order, seed=5)
-        serial, st_s = solve_max(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = solve_max(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="shm", workers=2),
+
+        def query(session, plan):
+            return session.maximum(
+                inst.k, predicate=inst.predicate(), config=cfg, plan=plan,
+                with_stats=True,
+            )
+
+        (serial, st_s), (par, st_p), carried = _warm_pool_rerun(
+            monkeypatch, inst.graph, query, {"executor": "process", "workers": 2},
         )
         assert (serial is None) == (par is None)
         if serial is not None:
             assert set(serial.vertices) == set(par.vertices)
-        assert_stats_parity(st_s, st_p, f"shm {family}/{backend}/{order}")
-        assert active_segments() == []
+            _assert_carried(carried, backend == "csr")
+        assert_stats_parity(st_s, st_p, f"pool {family}/{backend}/{order}")
 
     @pytest.mark.parametrize("backend", ("python", "csr"))
-    def test_multi_component_parity(self, backend):
+    def test_multi_component_parity(self, backend, monkeypatch):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = solve_enum(g, k, pred, cfg)
-        par, st_p = solve_enum(
-            g, k, pred, cfg.evolve(executor="shm", workers=3)
+
+        def query(session, plan):
+            return session.enumerate(
+                k, predicate=pred, config=cfg, plan=plan, with_stats=True,
+            )
+
+        (serial, st_s), (par, st_p), carried = _warm_pool_rerun(
+            monkeypatch, g, query, {"executor": "process", "workers": 3},
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
-        assert_stats_parity(st_s, st_p, "shm multi-component")
+        assert_stats_parity(st_s, st_p, "pool multi-component")
         assert st_p.components > 1
-
-    def test_workers_one_still_uses_segment_transport(self):
-        # The degenerate shm pool packs and maps segments in-process, so
-        # the transport path is exercised on single-core machines too.
-        inst = family_instance("borderline")
-        cfg = adv_enum_config(executor="shm", workers=1)
-        serial, st_s = solve_enum(
-            inst.graph, inst.k, inst.predicate(), adv_enum_config()
-        )
-        degen, st_d = solve_enum(inst.graph, inst.k, inst.predicate(), cfg)
-        assert as_sorted_sets(serial) == as_sorted_sets(degen)
-        assert_stats_parity(st_s, st_d, "shm workers=1")
-        assert active_segments() == []
+        assert len(carried) == st_p.components
+        _assert_carried(carried, backend == "csr")
 
 
 # ----------------------------------------------------------------------
@@ -231,33 +236,24 @@ class TestBranchSplit:
     @pytest.mark.parametrize("depth", (1, 2))
     def test_split_parity_inline_process_shm(self, family, depth):
         # The split schedule is a pure function of split_depth: the
-        # inline (executor=None), process-pool and shm-pool paths must
-        # agree on the result AND every parity counter, including the
-        # advisory shared_bound high-water mark.
+        # inline (executor=None) and process-pool paths must agree on
+        # the result AND every parity counter, including the
+        # shared_bound high-water mark.
         inst = family_instance(family, maximum=True)
         base = adv_max_config(split_depth=depth)
-        runs = {
-            "inline": base,
-            "process": base.evolve(executor="process", workers=2),
-            "shm": base.evolve(executor="shm", workers=2),
-        }
-        results = {
-            label: solve_max(inst.graph, inst.k, inst.predicate(), cfg)
-            for label, cfg in runs.items()
-        }
-        ref, st_ref = results["inline"]
-        for label in ("process", "shm"):
-            got, st = results[label]
-            assert (ref is None) == (got is None)
-            if ref is not None:
-                assert set(got.vertices) == set(ref.vertices)
-            assert_stats_parity(st_ref, st, f"split {family}/d{depth}/{label}")
-            assert st.shared_bound == st_ref.shared_bound
+        ref, st_ref = solve_max(inst.graph, inst.k, inst.predicate(), base)
+        got, st = solve_max(
+            inst.graph, inst.k, inst.predicate(),
+            base.evolve(executor="process", workers=2),
+        )
+        assert (ref is None) == (got is None)
         if ref is not None:
+            assert set(got.vertices) == set(ref.vertices)
             # 0 when the tree never reached the split depth (no frames
-            # parked, nothing shared); the exact best size otherwise.
+            # parked); the exact best size otherwise.
             assert st_ref.shared_bound in (0, len(ref.vertices))
-        assert active_segments() == []
+        assert_stats_parity(st_ref, st, f"split {family}/d{depth}")
+        assert st.shared_bound == st_ref.shared_bound
 
     def test_split_finds_the_same_maximum_as_unsplit(self):
         # Splitting reshapes the node schedule (counts may differ) but
@@ -284,137 +280,54 @@ class TestBranchSplit:
 
 
 # ----------------------------------------------------------------------
-# Segment lifecycle
+# Task transport and worker death
 # ----------------------------------------------------------------------
 
 class TestSegmentLifecycle:
     def test_pack_unpack_roundtrip(self):
+        # A task pickles its component as plain rows; with no packed form
+        # on the coordinator, no bitset rides along.
         inst = family_instance("onion")
-        ctxs = prepare_components(
+        ctx = prepare_components(
             inst.graph, inst.k, inst.predicate(), adv_enum_config(),
             SearchStats(), Budget(None, None),
-        )
-        ctx = ctxs[0]
-        payload = pack_component(ctx.vertices, ctx.adj, ctx.index)
-        try:
-            vertices, adj, index, bitset = unpack_component(payload)
-            assert vertices == ctx.vertices
-            assert adj == ctx.adj
-            assert index.rows() == ctx.index.rows()
-            assert bitset is None  # no packed matrices shipped
-        finally:
-            release_segment(payload.segment)
-        assert active_segments() == []
+        )[0]
+        assert ctx.bitset is None
+        task = pickle.loads(pickle.dumps(task_from_context(0, ctx, "enumerate")))
+        assert task.vertices == ctx.vertices
+        assert task.adj == ctx.adj
+        assert task.dissimilar == ctx.index.rows()
+        assert task.bitset is None
 
     def test_pack_unpack_carries_bitset_matrices(self):
+        # A packed bitset survives the pickle a pooled task goes through.
         inst = family_instance("onion")
-        ctxs = prepare_components(
+        ctx = prepare_components(
             inst.graph, inst.k, inst.predicate(), adv_enum_config(),
             SearchStats(), Budget(None, None),
-        )
-        ctx = ctxs[0]
+        )[0]
         packed = bitset_context(ctx)
-        payload = pack_component(
-            ctx.vertices, ctx.adj, ctx.index, bitset=packed
+        clone = pickle.loads(pickle.dumps(packed))
+        assert (clone.n, clone.words, clone.local) == (
+            packed.n, packed.words, packed.local
         )
-        try:
-            _, _, _, bitset = unpack_component(payload)
-            assert bitset is not None
-            assert (bitset.verts == packed.verts).all()
-            assert (bitset.nbr == packed.nbr).all()
-            assert (bitset.dis == packed.dis).all()
-        finally:
-            release_segment(payload.segment)
-
-    def test_release_is_idempotent_and_sweep_counts(self):
-        seg = create_segment(128)
-        name = seg.name
-        assert name in active_segments()
-        release_segment(name)
-        release_segment(name)  # second call is a no-op
-        release_segment(None)
-        assert name not in active_segments()
-        create_segment(64)
-        create_segment(64)
-        assert sweep_segments() == 2
-        assert active_segments() == []
-
-    def test_shutdown_pools_sweeps_leaked_segments(self):
-        create_segment(256)
-        shutdown_pools()
-        assert active_segments() == []
+        for name in ("verts", "nbr", "dis", "sim", "full"):
+            assert (getattr(clone, name) == getattr(packed, name)).all()
 
     def test_worker_death_releases_segments_and_pool_recovers(self, monkeypatch):
         # inject="exit" makes the worker os._exit mid-task: the pool
-        # breaks, the coordinator raises the typed error, every segment
-        # is unlinked on the way out, and the next run (fresh pool)
-        # succeeds.
+        # breaks, the coordinator raises the typed error, and the next
+        # run (fresh pool) succeeds.
         g, k, pred = multi_component_graph()
-        cfg = adv_enum_config(executor="shm", workers=2)
+        cfg = adv_enum_config(executor="process", workers=2)
         monkeypatch.setenv(INJECT_ENV, "exit")
         with pytest.raises(ComponentExecutionError) as err:
             solve_enum(g, k, pred, cfg)
         assert err.value.error_type == "BrokenProcessPool"
-        assert active_segments() == []
         monkeypatch.delenv(INJECT_ENV)
         serial, _ = solve_enum(g, k, pred, adv_enum_config())
         par, _ = solve_enum(g, k, pred, cfg)
         assert as_sorted_sets(serial) == as_sorted_sets(par)
-        assert active_segments() == []
-
-    def test_keyboard_interrupt_releases_segments(self, monkeypatch):
-        # A ^C lands in the coordinator's future.result(): the executor
-        # must still unlink every task-private segment on the way out.
-        import repro.core.executor as executor_mod
-
-        inst = family_instance("borderline")
-        ctxs = prepare_components(
-            inst.graph, inst.k, inst.predicate(),
-            adv_enum_config(shm=True),
-            SearchStats(), Budget(None, None),
-        )
-        tasks = [
-            task_from_context(i, ctx, "enumerate")
-            for i, ctx in enumerate(ctxs)
-        ]
-        assert active_segments()  # payloads are live in /dev/shm
-
-        class _Future:
-            def result(self):
-                raise KeyboardInterrupt()
-
-        class _Pool:
-            def submit(self, fn, task):
-                return _Future()
-
-        monkeypatch.setattr(
-            executor_mod, "_get_pool", lambda w, f="process": _Pool()
-        )
-        with pytest.raises(KeyboardInterrupt):
-            ParallelExecutor(5, flavour="shm").run(tasks)
-        assert active_segments() == []
-
-    def test_shared_bound_is_monotone(self):
-        bound = SharedBound.create(3)
-        try:
-            assert bound.peek() == 3
-            assert bound.publish(7) == 7
-            assert bound.publish(5) == 7  # never regresses
-            peer = SharedBound.attach(bound.name)
-            assert peer.peek() == 7
-            peer.publish(9)
-            peer.close()
-            assert bound.peek() == 9
-        finally:
-            bound.release()
-        assert active_segments() == []
-
-    def test_publish_to_missing_segment_is_tolerated(self):
-        bound = SharedBound.create(0)
-        name = bound.name
-        bound.release()
-        publish_bound(name, 42)  # straggler after coordinator teardown
-        publish_bound(None, 42)
 
 
 # ----------------------------------------------------------------------
@@ -425,11 +338,11 @@ class TestSegmentLifecycle:
 class TestDeprecatedAliases:
     def test_session_plan_kwarg_and_cache_sharing(self):
         # The fingerprint strips the executor knobs: a serial query and
-        # an shm query share cache entries in either direction.
+        # a pooled query share cache entries in either direction.
         g, k, pred = multi_component_graph()
         session = KRCoreSession(g)
         a, st_a = session.enumerate(
-            k, predicate=pred, plan={"shm": True, "workers": 2},
+            k, predicate=pred, plan={"executor": "process", "workers": 2},
             with_stats=True,
         )
         assert st_a.cache_misses == st_a.components
@@ -442,7 +355,8 @@ class TestDeprecatedAliases:
         "knob", ("executor", "workers", "shm", "split_depth")
     )
     def test_loose_execution_kwargs_are_rejected(self, knob):
-        # plan= is the only spelling; the loose scalars are plan fields.
+        # plan= is the only spelling; the loose scalars are plan fields
+        # (and "shm" names the retired shared-memory transport).
         from repro import enumerate_maximal_krcores
 
         g, k, pred = multi_component_graph()
@@ -456,11 +370,11 @@ class TestDeprecatedAliases:
     def test_session_sweep_accepts_plan(self):
         g, k, pred = multi_component_graph()
         rows_serial = KRCoreSession(g).sweep([k], [pred.r], predicate=pred)
-        rows_shm = KRCoreSession(g).sweep(
+        rows_pool = KRCoreSession(g).sweep(
             [k], [pred.r], predicate=pred,
-            plan={"shm": True, "workers": 2},
+            plan={"executor": "process", "workers": 2},
         )
-        assert rows_shm == rows_serial
+        assert rows_pool == rows_serial
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +401,7 @@ class TestServeExecutionKnobs:
     def test_request_plan_overrides_service_defaults(self, stored):
         db, inst = stored
         r = inst.predicate().r
-        svc = self._service(db, plan={"shm": True, "workers": 2})
+        svc = self._service(db, plan={"executor": "process", "workers": 2})
         try:
             base = svc.handle("onion", "maximum", {"k": inst.k, "r": r})
             override = svc.handle("onion", "maximum", {
@@ -514,6 +428,15 @@ class TestServeExecutionKnobs:
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
                     "k": inst.k, "r": r, "plan": {"split_depth": 99},
+                })
+            # The retired shared-memory transport, in either spelling.
+            with pytest.raises(ServiceError, match="split_depth"):
+                svc.handle("onion", "maximum", {
+                    "k": inst.k, "r": r, "plan": {"shm": True},
+                })
+            with pytest.raises(ServiceError, match="process"):
+                svc.handle("onion", "maximum", {
+                    "k": inst.k, "r": r, "plan": {"executor": "shm"},
                 })
             # The execution scalars are plan fields, not request knobs.
             with pytest.raises(ServiceError, match="unknown parameters"):
@@ -563,14 +486,15 @@ class TestCliExecutionFlags:
         serial_out = capsys.readouterr().out
         assert main(
             ["maximum"] + self._graph_args(file_graph)
-            + ["--executor", "shm", "--workers", "2", "--split-depth", "1"]
+            + ["--executor", "process", "--workers", "2", "--split-depth", "1"]
         ) == 0
-        shm_out = capsys.readouterr().out
-        assert shm_out.splitlines()[0] == serial_out.splitlines()[0]
+        pool_out = capsys.readouterr().out
+        assert pool_out.splitlines()[0] == serial_out.splitlines()[0]
 
     @pytest.mark.parametrize("flags, plan", (
         ([], None),
-        (["--shm", "--workers", "2"], {"shm": True, "workers": 2}),
+        (["--executor", "process", "--workers", "2"],
+         {"executor": "process", "workers": 2}),
         (["--executor", "process", "--split-depth", "1"],
          {"executor": "process", "split_depth": 1}),
     ))
@@ -584,13 +508,18 @@ class TestCliExecutionFlags:
         assert _executor_overrides(args) == ({} if plan is None else {"plan": plan})
 
     def test_shm_shorthand(self, file_graph, capsys):
+        # The shared-memory transport is gone: its shorthand and its
+        # executor value are argparse errors, not silent fallbacks.
         from repro.cli import main
 
-        assert main(
-            ["mine"] + self._graph_args(file_graph)
-            + ["--shm", "--workers", "2"]
-        ) == 0
-        assert "maximal (2,0.5)-cores" in capsys.readouterr().out
+        for flags in (["--shm"], ["--executor", "shm"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(
+                    ["mine"] + self._graph_args(file_graph)
+                    + flags + ["--workers", "2"]
+                )
+            assert exit_info.value.code == 2
+            assert "shm" in capsys.readouterr().err
 
     def test_workers_without_executor_is_an_error(self, file_graph, capsys):
         from repro.cli import main
@@ -598,7 +527,9 @@ class TestCliExecutionFlags:
         with pytest.raises(SystemExit) as exit_info:
             main(["maximum"] + self._graph_args(file_graph) + ["--workers", "2"])
         assert exit_info.value.code == 2
-        assert "--executor" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--executor process" in err
+        assert "shm" not in err
 
     def test_explicit_executor_does_not_warn(self, file_graph, capsys):
         import warnings

@@ -407,6 +407,16 @@ class TestHTTP:
         status, body = _post(http_server, "/graphs/g/enumerate", {"k": 2})
         assert status == 400 and "error" in body
 
+    @pytest.mark.parametrize("plan, named", (
+        ({"shm": True}, "split_depth"),      # names the valid plan fields
+        ({"executor": "shm"}, "process"),    # names the valid executors
+    ))
+    def test_retired_shm_plan_400(self, http_server, plan, named):
+        status, body = _post(http_server, "/graphs/g/enumerate", {
+            "k": 2, "r": 0.3, "plan": plan,
+        })
+        assert status == 400 and named in body["error"]
+
     def test_shutdown_endpoint(self, stored):
         service = KRCoreService(GraphStore(stored))
         server = make_server(service, port=0)
@@ -427,6 +437,33 @@ class TestHTTP:
             warm = KRCoreSession.load(store, "g")
             __, stats = warm.enumerate(2, 0.3, with_stats=True)
             assert stats.nodes == 0
+
+
+def test_shutdown_request_flushes_before_run_server_returns(stored,
+                                                            monkeypatch):
+    # A slow flush must finish before run_server returns, or a caller
+    # that joins the server thread and reopens the store races it.
+    service = KRCoreService(GraphStore(stored))
+    flushed = threading.Event()
+    close = service.close
+
+    def slow_close():
+        time.sleep(0.3)
+        close()
+        flushed.set()
+
+    monkeypatch.setattr(service, "close", slow_close)
+    server = make_server(service, port=0)
+    ready = threading.Event()
+    thread = threading.Thread(target=run_server, args=(server, ready))
+    thread.start()
+    assert ready.wait(5.0)
+    host, port = server.server_address[:2]
+    status, _ = _post(f"http://{host}:{port}", "/shutdown")
+    assert status == 200
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert flushed.is_set()
 
 
 def test_urlopen_get_404_maps(http_server):

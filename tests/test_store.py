@@ -1,5 +1,6 @@
 """Persistent graph store: codecs, staleness guards, warm-start parity."""
 
+import json
 import sqlite3
 
 import numpy as np
@@ -300,6 +301,37 @@ class TestSessionPersistence:
             assert warm_rows == cold_rows
             assert stats.nodes == 0
             assert stats.cache_misses == 0
+
+    @pytest.mark.parametrize("retired", (
+        {"shm": False},                      # the dropped config field
+        {"executor": "shm"},                 # the dropped executor value
+    ))
+    def test_rows_with_retired_shm_config_are_skipped(self, db, tmp_path,
+                                                       retired):
+        # Result rows written while SearchConfig still had the
+        # shared-memory transport carry it in their key: loading skips
+        # them (never served, never raised) and the query recomputes.
+        g = dense_similar_graph(8)
+        with GraphStore(db) as store:
+            cold = KRCoreSession(g)
+            want = as_sorted_sets(cold.enumerate(2, 0.3))
+            cold.maximum(2, 0.3)
+            cold.save(store, "g")
+            rows = store.load_results("g")
+        assert rows
+        old_rows = []
+        for key_text, value_text in rows:
+            key = json.loads(key_text)
+            key[2 if key[0] == "enum" else 1].update(retired)
+            old_rows.append((codec.canonical_json(key), value_text))
+        with GraphStore(str(tmp_path / "old.db")) as store:
+            fp = store.save_graph("g", g)
+            store.save_results("g", old_rows, fp)
+            warm = KRCoreSession.load(store, "g")
+            assert warm.cache_stats()["results"]["size"] == 0
+            cores, stats = warm.enumerate(2, 0.3, with_stats=True)
+            assert as_sorted_sets(cores) == want
+            assert stats.cache_hits == 0 and stats.cache_misses > 0
 
     def test_fingerprint_mismatch_refuses_results(self, db):
         g = make_random_attr_graph(4, n=10)
