@@ -5,23 +5,45 @@ the python-dict :class:`~repro.graph.builder.GraphBuilder` — fine for
 test fixtures, hopeless for the paper's million-edge SNAP-class inputs
 (Gowalla, DBLP): the dict adjacency alone costs an order of magnitude
 more memory than the graph, and per-edge python set insertion dominates
-the load time.  This module parses the same formats in bounded chunks,
-converts token batches to ``int64`` arrays with numpy, and assembles the
-:class:`~repro.graph.csr.CSRGraph` with the sort-based indptr recipe of
-:meth:`CSRGraph.from_edges` — no python-dict adjacency is ever built.
+the load time.  This module parses the same formats a text block at a
+time, converts token batches to ``int64`` arrays with numpy, and
+assembles the :class:`~repro.graph.csr.CSRGraph` with the packed-key
+sort of :meth:`CSRGraph.from_edges` — no python-dict adjacency is ever
+built.
+
+Block path
+----------
+A file is read in blocks of ``repro.graph.io._READ_CHARS`` characters,
+each cut after its last ``\\n``.  The lines of a block up to and
+including its last ``#`` go through the per-line parser, so headers and
+comments parse as they always did.  The rest is classified in numpy
+(:func:`_split_block`): if it is ASCII, breaks lines only with ``\\n``
+and every line holds 0 fields or the format's field count (2 for an
+edge, 3 for a point), it becomes one ``str.split()``.  Its tokens join
+the parse batches exactly as the line parser would have added them, so
+batches, stats and error line numbers do not depend on the path taken.
+Any other block — ``\\r``, ``\\v``, a ragged row, a non-ASCII label, a
+custom ``sep`` — goes to the line parser, which raises the typed
+errors.  A point block is cast per block (labels to ``int64`` or
+through the relabel map, coordinates to ``float64``); a bad number or
+an unknown label sends the block to the line parser too.  Set and
+counter files always take the line parser.
 
 Contract
 --------
 * **Typed failures, never a partial graph.**  Ragged rows, non-integer
-  ids, header/body disagreement, policy violations and memory-ceiling
-  trips all raise :class:`~repro.exceptions.IngestError`; a caller
-  either gets a complete CSR or an exception.
+  ids, header/body disagreement, policy violations, memory-ceiling
+  trips and malformed attribute lines all raise
+  :class:`~repro.exceptions.IngestError`; a caller either gets a
+  complete CSR or an exception.
 * **Policy flags.**  ``self_loops`` / ``duplicates`` accept ``"skip"``
   (drop, counted in the stats) or ``"error"``; the line readers of
   :mod:`repro.graph.io` accept the same flags with the same meaning.
 * **Memory ceiling.**  ``memory_limit_mb`` bounds the ingester's
-  accumulated parse buffers, checked after every chunk, so a
-  larger-than-expected file trips mid-stream instead of thrashing.
+  accumulated int64 edge buffers, checked after every batch of
+  ``chunk_lines`` rows, so a larger-than-expected file trips mid-stream
+  instead of thrashing.  The text block being parsed (and its tokens)
+  sits outside the ceiling.
 * **Line endings.**  ``\\n``, ``\\r\\n`` and bare ``\\r`` all terminate
   lines, whatever object the source is — the ingester does its own
   universal-newline split instead of trusting the handle's translation.
@@ -31,15 +53,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union,
+)
 
 import numpy as np
 
-from repro.exceptions import IngestError
+from repro.exceptions import GraphError, IngestError
+from repro.graph import io as graph_io
 from repro.graph.csr import CSRGraph
 from repro.graph.io import (
     EDGE_POLICIES,
     _check_edge_policy,
+    _open_for_read,
     iter_raw_lines,
     parse_attribute_line,
 )
@@ -49,6 +75,19 @@ PathOrFile = Union[str, os.PathLike, TextIO]
 #: Lines per parse batch — big enough that the numpy str->int64 cast
 #: amortises, small enough that one batch's token lists stay cheap.
 DEFAULT_CHUNK_LINES = 65536
+
+#: Class of each ASCII character for :func:`_split_block`: part of a
+#: field, whitespace (``str.split``'s set, ``\n`` included), or a line
+#: break other than ``\n``.
+_FIELD, _SPACE, _OTHER_BREAK = 0, 1, 2
+_CHAR_CLASS = np.array(
+    [
+        _OTHER_BREAK if c != "\n" and len(f"a{c}a".splitlines()) > 1
+        else _SPACE if c.isspace() else _FIELD
+        for c in map(chr, range(128))
+    ],
+    dtype=np.uint8,
+)
 
 
 @dataclass
@@ -100,6 +139,90 @@ def _parse_header_counts(line: str) -> Tuple[Optional[int], Optional[int]]:
         elif low == "edges" and parts[i + 1].lstrip("-").isdigit():
             edges = int(parts[i + 1])
     return nodes, edges
+
+
+def _iter_blocks(source: PathOrFile) -> Iterator[str]:
+    """Stream the text in blocks of about ``_READ_CHARS`` characters.
+
+    Each block ends right after its last ``\\n``, so no block splits a
+    line or a ``\\r\\n`` pair, and the blocks' ``splitlines()`` are the
+    lines of :func:`iter_raw_lines`.  A read with no ``\\n`` at all (a
+    bare-``\\r`` dump) is cut after its last ``\\r`` that has a character
+    after it, so memory stays about one block plus one line.
+    """
+    fh, should_close = _open_for_read(source)
+    try:
+        carry = ""
+        while True:
+            chunk = fh.read(graph_io._READ_CHARS)
+            if not chunk:
+                break
+            buf = carry + chunk
+            cut = buf.rfind("\n") + 1 or buf.rfind("\r", 0, len(buf) - 1) + 1
+            if cut:
+                yield buf[:cut]
+            carry = buf[cut:]
+        if carry:
+            yield carry
+    finally:
+        if should_close:
+            fh.close()
+
+
+def _split_block(
+    text: str, fields: int,
+) -> Optional[Tuple[List[str], np.ndarray, int]]:
+    """Tokens of a block whose every line holds 0 or ``fields`` fields.
+
+    Returns ``(text.split(), rows, lines)``: ``rows`` is the 0-based
+    line, within the block, of each non-blank line and ``lines`` the
+    block's line count.  Returns ``None`` when the block must go to the
+    line parser: it is not ASCII, it breaks a line with anything but
+    ``\\n``, or some line holds another number of fields.
+    """
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _CHAR_CLASS[raw]
+    if (cls == _OTHER_BREAK).any():
+        return None
+    in_field = cls == _FIELD
+    starts = in_field.copy()
+    starts[1:] &= ~in_field[:-1]
+    line_of = np.searchsorted(
+        np.flatnonzero(raw == ord("\n")), np.flatnonzero(starts)
+    )
+    per_line = np.bincount(line_of)
+    if ((per_line != 0) & (per_line != fields)).any():
+        return None
+    lines = text.count("\n") + (not text.endswith("\n"))
+    return text.split(), line_of[::fields], lines
+
+
+def _comment_cut(text: str) -> int:
+    """End of the line holding ``text``'s last ``#`` (0 when it has
+    none): the part of a block the line parser takes."""
+    hash_at = text.rfind("#")
+    if hash_at < 0:
+        return 0
+    end = text.find("\n", hash_at)
+    return len(text) if end < 0 else end + 1
+
+
+def _route_blocks(
+    source: PathOrFile,
+    parse_lines: Callable[[str], None],
+    parse_block: Optional[Callable[[str], bool]],
+) -> None:
+    """Feed every block of ``source`` to ``parse_block`` after its
+    comment lines, or to ``parse_lines`` where ``parse_block`` declines
+    (returns ``False``) or is ``None``."""
+    for block in _iter_blocks(source):
+        cut = _comment_cut(block) if parse_block else len(block)
+        parse_lines(block[:cut])
+        rest = block[cut:]
+        if rest and not parse_block(rest):
+            parse_lines(rest)
 
 
 def _tokens_to_int64(tokens: List[str], linenos: List[int]) -> np.ndarray:
@@ -165,104 +288,147 @@ def _parse_edges(
     chunk_lines: int,
     memory_limit_mb: Optional[float],
     stats: IngestStats,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stream the file into canonical (lo, hi) unique edge arrays."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stream the file into unique edges; see :func:`_unique_edges`."""
     acc = _EdgeAccumulator(memory_limit_mb, stats)
     toks_u: List[str] = []
     toks_v: List[str] = []
     linenos: List[int] = []
     lineno = 0
 
-    def flush() -> None:
-        if not toks_u:
-            return
-        u = _tokens_to_int64(toks_u, linenos)
-        v = _tokens_to_int64(toks_v, linenos)
+    def flush(rows: int) -> None:
+        """Convert the first ``rows`` pending rows into one batch."""
+        batch_lines = linenos[:rows]
+        u = _tokens_to_int64(toks_u[:rows], batch_lines)
+        v = _tokens_to_int64(toks_v[:rows], batch_lines)
         loops = u == v
         if loops.any():
             if self_loops == "error":
                 where = int(np.argmax(loops))
                 raise IngestError(
-                    f"edge list line {linenos[where]}: self loop "
+                    f"edge list line {batch_lines[where]}: self loop "
                     f"{int(u[where])} -> {int(v[where])} "
                     f"(self_loops='error')"
                 )
             stats.self_loops_dropped += int(loops.sum())
             keep = ~loops
             u, v = u[keep], v[keep]
-        acc.add(u, v, linenos[-1])
-        toks_u.clear()
-        toks_v.clear()
-        linenos.clear()
+        acc.add(u, v, batch_lines[-1])
+        del toks_u[:rows], toks_v[:rows], linenos[:rows]
 
-    for raw in iter_raw_lines(source):
-        lineno += 1
-        stats.lines += 1
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            stats.comment_lines += 1
-            if stats.declared_nodes is None and stats.declared_edges is None:
-                nodes, edges = _parse_header_counts(line)
-                stats.declared_nodes = nodes
-                stats.declared_edges = edges
-            continue
-        parts = line.split(sep)
-        if len(parts) != 2:
-            raise IngestError(
-                f"edge list line {lineno}: expected exactly two fields, "
-                f"got {len(parts)} in {line!r}"
-            )
-        toks_u.append(parts[0])
-        toks_v.append(parts[1])
-        linenos.append(lineno)
-        stats.edge_lines += 1
-        if len(toks_u) >= chunk_lines:
-            flush()
-    flush()
+    def parse_lines(text: str) -> None:
+        nonlocal lineno
+        for raw in text.splitlines():
+            lineno += 1
+            stats.lines += 1
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                stats.comment_lines += 1
+                if stats.declared_nodes is None and stats.declared_edges is None:
+                    nodes, edges = _parse_header_counts(line)
+                    stats.declared_nodes = nodes
+                    stats.declared_edges = edges
+                continue
+            parts = line.split(sep)
+            if len(parts) != 2:
+                raise IngestError(
+                    f"edge list line {lineno}: expected exactly two fields, "
+                    f"got {len(parts)} in {line!r}"
+                )
+            toks_u.append(parts[0])
+            toks_v.append(parts[1])
+            linenos.append(lineno)
+            stats.edge_lines += 1
+            if len(toks_u) >= chunk_lines:
+                flush(chunk_lines)
 
-    u, v = acc.concatenated()
+    def parse_block(text: str) -> bool:
+        nonlocal lineno
+        split = _split_block(text, 2)
+        if split is None:
+            return False
+        tokens, rows, lines = split
+        toks_u.extend(tokens[0::2])
+        toks_v.extend(tokens[1::2])
+        linenos.extend((rows + (lineno + 1)).tolist())
+        lineno += lines
+        stats.lines += lines
+        stats.edge_lines += rows.size
+        while len(toks_u) >= chunk_lines:
+            flush(chunk_lines)
+        return True
+
+    _route_blocks(source, parse_lines, parse_block if sep is None else None)
+    if toks_u:
+        flush(len(toks_u))
+    return _unique_edges(*acc.concatenated(), duplicates, stats)
+
+
+def _unique_edges(
+    u: np.ndarray, v: np.ndarray, duplicates: str, stats: IngestStats,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical unique edges in compact ids, sorted by ``(lo, hi)``.
+
+    Returns ``(lo, hi, ids)``: ``ids`` is the sorted distinct original
+    ids, and ``lo < hi`` index into it.  Duplicates (the same unordered
+    pair, in either direction) are found by sorting one packed key
+    ``lo * n + hi`` over the compact ids, where ``n <= 2m`` keeps the
+    key in int64.
+    """
     if u.size == 0:
-        return u, v
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    dup = np.zeros(lo.size, dtype=bool)
-    dup[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    n_dup = int(dup.sum())
+    max_id = int(hi.max())
+    if lo.min() >= 0 and max_id < 2 * lo.size:
+        # Ids can be dense only below the endpoint count: mark them
+        # instead of sorting every endpoint.
+        seen = np.zeros(max_id + 1, dtype=bool)
+        seen[lo] = True
+        seen[hi] = True
+        ids = np.flatnonzero(seen)
+        if ids.size <= max_id:
+            rank = np.cumsum(seen) - 1
+            lo, hi = rank[lo], rank[hi]
+    else:
+        ids = np.unique(np.concatenate([lo, hi]))
+        lo = np.searchsorted(ids, lo)
+        hi = np.searchsorted(ids, hi)
+    n = ids.size
+    key = lo * n + hi
+    key.sort()
+    dup = key[1:] == key[:-1]
+    n_dup = int(np.count_nonzero(dup))
     if n_dup:
         if duplicates == "error":
-            where = int(np.argmax(dup))
+            a, b = divmod(int(key[np.argmax(dup)]), n)
             raise IngestError(
-                f"duplicate edge ({int(lo[where])}, {int(hi[where])}) "
+                f"duplicate edge ({int(ids[a])}, {int(ids[b])}) "
                 f"appears more than once (duplicates='error')"
             )
         stats.duplicates_dropped += n_dup
-        keep = ~dup
-        lo, hi = lo[keep], hi[keep]
-    return lo, hi
+        key = key[np.concatenate(([True], ~dup))]
+    lo, hi = np.divmod(key, n)
+    return lo, hi, ids
 
 
 def _assemble_csr(
     lo: np.ndarray,
     hi: np.ndarray,
+    ids: np.ndarray,
     stats: IngestStats,
-    attributes: Optional[Dict[int, Any]] = None,
 ) -> Tuple[CSRGraph, Dict[str, int]]:
-    """Compact ids, honour the header, and build the CSR graph.
+    """Honour the header and build the CSR graph from compact edges.
 
     Returns the graph plus the ``original id -> dense id`` map (empty
     when ids were already dense, meaning the map is the identity).
     """
     declared = stats.declared_nodes
-    if lo.size:
-        if lo.min() < 0 or hi.min() < 0:
-            raise IngestError("vertex ids must be non-negative")
-        ids = np.unique(np.concatenate([lo, hi]))
-    else:
-        ids = np.empty(0, dtype=np.int64)
+    if ids.size and ids[0] < 0:
+        raise IngestError("vertex ids must be non-negative")
     distinct = int(ids.size)
     max_id = int(ids[-1]) if distinct else -1
 
@@ -283,13 +449,12 @@ def _assemble_csr(
     labels: Optional[List[str]] = None
     mapping: Dict[str, int] = {}
     if dense:
-        n = max(declared or 0, max_id + 1)
-        eu, ev = lo, hi
+        n = max(declared or 0, distinct)
     else:
-        # Compact to 0..n-1; original ids survive as labels.  Header
-        # padding on top of relabelled ids would be ambiguous (which ids
-        # were the isolated ones?), so declared > distinct is only
-        # honoured for dense inputs.
+        # Original ids survive as labels.  Header padding on top of
+        # relabelled ids would be ambiguous (which ids were the isolated
+        # ones?), so declared > distinct is only honoured for dense
+        # inputs.
         if declared is not None and declared > distinct:
             raise IngestError(
                 f"header/body disagreement: header declares {declared} "
@@ -298,12 +463,10 @@ def _assemble_csr(
                 f"which ids the isolated vertices carry"
             )
         n = distinct
-        eu = np.searchsorted(ids, lo)
-        ev = np.searchsorted(ids, hi)
         labels = [str(i) for i in ids.tolist()]
         mapping = {label: i for i, label in enumerate(labels)}
         stats.relabelled = True
-    graph = CSRGraph.from_edges(n, eu, ev, attributes, labels)
+    graph = CSRGraph.from_edges(n, lo, hi, None, labels)
     return graph, mapping
 
 
@@ -351,11 +514,11 @@ def ingest_edge_list(
     if chunk_lines < 1:
         raise IngestError(f"chunk_lines must be >= 1, got {chunk_lines}")
     stats = IngestStats()
-    lo, hi = _parse_edges(
+    lo, hi, ids = _parse_edges(
         source, sep, self_loops, duplicates, chunk_lines,
         memory_limit_mb, stats,
     )
-    graph, _ = _assemble_csr(lo, hi, stats)
+    graph, _ = _assemble_csr(lo, hi, ids, stats)
     if with_stats:
         return graph, stats
     return graph
@@ -377,7 +540,9 @@ def ingest_attributes(
     themselves, bounded by ``n`` when given.  ``on_unknown`` decides
     what a label with no mapped vertex does: ``"error"`` (default) or
     ``"skip"`` — the readers' add-isolated-vertex behaviour is not
-    available here, because a built CSR cannot grow.
+    available here, because a built CSR cannot grow.  A malformed line
+    (wrong field count, a bad number) raises :class:`IngestError`
+    naming its line.
     """
     if on_unknown not in ("error", "skip"):
         raise IngestError(
@@ -385,33 +550,75 @@ def ingest_attributes(
         )
     out: Dict[int, Any] = {}
     lineno = 0
-    for raw in iter_raw_lines(source):
-        lineno += 1
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, value = parse_attribute_line(line, kind)
-        if label_to_id is not None:
-            ident = label_to_id.get(label)
-        else:
+
+    def parse_lines(text: str) -> None:
+        nonlocal lineno
+        for raw in text.splitlines():
+            lineno += 1
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             try:
-                ident = int(label)
-            except ValueError:
-                ident = None
-            if ident is not None and (
-                ident < 0 or (n is not None and ident >= n)
+                label, value = parse_attribute_line(line, kind)
+            except (GraphError, ValueError) as exc:
+                raise IngestError(f"attribute line {lineno}: {exc}") from None
+            if label_to_id is not None:
+                ident = label_to_id.get(label)
+            else:
+                try:
+                    ident = int(label)
+                except ValueError:
+                    ident = None
+                if ident is not None and (
+                    ident < 0 or (n is not None and ident >= n)
+                ):
+                    ident = None
+            if ident is None:
+                if on_unknown == "error":
+                    raise IngestError(
+                        f"attribute line {lineno}: label {label!r} names no "
+                        f"vertex of the ingested graph"
+                    )
+                continue
+            out[ident] = value
+            if stats is not None:
+                stats.attribute_lines += 1
+
+    def parse_points(text: str) -> bool:
+        """One block of ``v x y`` lines, if every label names a vertex
+        and every number casts."""
+        nonlocal lineno
+        split = _split_block(text, 3)
+        if split is None:
+            return False
+        tokens, _, lines = split
+        labels = tokens[0::3]
+        try:
+            xs = np.array(tokens[1::3], dtype=np.float64).tolist()
+            ys = np.array(tokens[2::3], dtype=np.float64).tolist()
+            ids = (
+                None if label_to_id is not None
+                else np.array(labels, dtype=np.int64)
+            )
+        except (ValueError, OverflowError):
+            return False  # the line parser raises or skips, by line
+        if ids is None:
+            idents = list(map(label_to_id.get, labels))
+            if None in idents:
+                return False
+        else:
+            if ids.size and (
+                ids.min() < 0 or (n is not None and ids.max() >= n)
             ):
-                ident = None
-        if ident is None:
-            if on_unknown == "error":
-                raise IngestError(
-                    f"attribute line {lineno}: label {label!r} names no "
-                    f"vertex of the ingested graph"
-                )
-            continue
-        out[ident] = value
+                return False
+            idents = ids.tolist()
+        out.update(zip(idents, zip(xs, ys)))
+        lineno += lines
         if stats is not None:
-            stats.attribute_lines += 1
+            stats.attribute_lines += len(idents)
+        return True
+
+    _route_blocks(source, parse_lines, parse_points if kind == "point" else None)
     return out
 
 
@@ -440,13 +647,13 @@ def ingest_attributed_graph(
     if chunk_lines < 1:
         raise IngestError(f"chunk_lines must be >= 1, got {chunk_lines}")
     stats = IngestStats()
-    lo, hi = _parse_edges(
+    lo, hi, ids = _parse_edges(
         edge_source, sep, self_loops, duplicates, chunk_lines,
         memory_limit_mb, stats,
     )
     # Assemble once without attributes to learn the relabel map, then
     # attach the attribute dict (values only — never adjacency).
-    graph, mapping = _assemble_csr(lo, hi, stats)
+    graph, mapping = _assemble_csr(lo, hi, ids, stats)
     attributes = ingest_attributes(
         attr_source, kind,
         label_to_id=mapping if stats.relabelled else None,

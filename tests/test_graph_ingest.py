@@ -9,13 +9,17 @@ types (``GraphBuilder`` / ``AttributedGraph``).
 """
 
 import io
+import random
 
 import numpy as np
 import pytest
 
+import repro.graph.ingest as ingest_mod
+import repro.graph.io as graph_io
 from repro.exceptions import IngestError
 from repro.graph.csr import CSRGraph
 from repro.graph.ingest import (
+    DEFAULT_CHUNK_LINES,
     IngestStats,
     csr_fingerprint,
     ingest_attributed_graph,
@@ -291,3 +295,260 @@ class TestScale:
         assert g.edge_count == m - stats.duplicates_dropped \
             - stats.self_loops_dropped
         assert g.edge_count > 900_000
+
+
+def _outcome(call):
+    """``("ok", value)`` or ``("error", type name, message)`` of ``call()``."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # compared, never swallowed
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _line_path_only(m):
+    """Patch the block classifier to decline every block."""
+    m.setattr(ingest_mod, "_split_block", lambda text, fields: None)
+
+
+def _both_paths(monkeypatch, call):
+    """Outcomes of ``call`` with the block path on and declined."""
+    bulk = _outcome(call)
+    with monkeypatch.context() as m:
+        _line_path_only(m)
+        line = _outcome(call)
+    return bulk, line
+
+
+def _snapshot(result):
+    """Everything an ingest run hands back, in comparable form."""
+    graph, stats = result
+    return (
+        graph.indptr.tolist(),
+        graph.indices.tolist(),
+        [graph.label(u) for u in graph.vertices()],
+        repr(list(graph._attributes.items())),  # repr: nan == nan, order kept
+        stats.to_dict(),
+    )
+
+
+_BREAKS = ["\n"] * 12 + ["\r\n", "\r", "\v", "\x1c"]
+
+
+def _join(rows, rng):
+    """Rows joined by mostly ``\\n`` with the odd other line break,
+    blank or whitespace-only line, and no trailing newline at times."""
+    out = []
+    for row in rows:
+        out.append(row)
+        out.append(rng.choice(_BREAKS))
+        if rng.random() < 0.05:
+            out.append(rng.choice(["", " ", "\t", "  \t "]) + "\n")
+    if rng.random() < 0.3:
+        out.pop()
+    return "".join(out)
+
+
+def _edge_text(rng, sparse):
+    n = rng.randint(2, 40)
+    ids = (
+        rng.sample(range(10, 10 ** 6), n) if sparse else list(range(n))
+    )
+    headers = [None, "# random graph"]
+    if not sparse:
+        headers.append(f"# Nodes: {n + 2}")  # pads isolated vertices
+    header = rng.choice(headers)
+    rows = [header] if header else []
+    for _ in range(rng.randint(0, 120)):
+        a, b = rng.choice(ids), rng.choice(ids)  # loops + duplicates too
+        gap = rng.choice([" ", "\t", "  ", " \t"])
+        lead = " " if rng.random() < 0.05 else ""
+        rows.append(f"{lead}{a}{gap}{b}")
+        if rng.random() < 0.04:
+            rows.append(rng.choice(["# mid-file comment", "# café ünïcode"]))
+    return _join(rows, rng), ids
+
+
+def _point_text(rng, labels):
+    rows = []
+    for label in labels:
+        if rng.random() < 0.1:
+            continue  # a vertex without a point
+        x = rng.choice(["1.5", "-0.0", "1e3", "+.5", "7", "2.25E-3", "nan"])
+        y = repr(rng.uniform(-500, 500))
+        rows.append(f"{label} {x}\t{y}")
+        if rng.random() < 0.05:
+            rows.append(f"{label} {y} {x}")  # a repeat overwrites
+        if rng.random() < 0.04:
+            rows.append(rng.choice(["# comment", "é 1 2", "99999999 3 4"]))
+    rng.shuffle(rows)
+    return _join(rows, rng)
+
+
+class TestBlockPathEquivalence:
+    """The block path gives what the line parser gives, field for field.
+
+    Every run is repeated with the block classifier patched to decline,
+    which sends every line through the line parser; a tiny read size
+    spreads the oddities across many block boundaries.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(graph_io, "_READ_CHARS", 61)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_edge_lists(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        text, _ = _edge_text(rng, sparse=seed % 2 == 1)
+        chunk = rng.choice([1, 3, 16, DEFAULT_CHUNK_LINES])
+
+        def run():
+            return _snapshot(ingest_edge_list(
+                io.StringIO(text), chunk_lines=chunk, with_stats=True,
+            ))
+
+        bulk, line = _both_paths(monkeypatch, run)
+        assert bulk == line
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_point_files(self, monkeypatch, seed):
+        rng = random.Random(1000 + seed)
+        edges, ids = _edge_text(rng, sparse=seed % 2 == 1)
+        points = _point_text(rng, ids + ["12345678"])
+        chunk = rng.choice([2, 50])
+
+        def run():
+            return _snapshot(ingest_attributed_graph(
+                io.StringIO(edges), io.StringIO(points), "point",
+                chunk_lines=chunk, with_stats=True,
+            ))
+
+        bulk, line = _both_paths(monkeypatch, run)
+        assert bulk == line
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_dense_points(self, monkeypatch, seed):
+        rng = random.Random(2000 + seed)
+        points = _point_text(rng, [str(i) for i in range(30)] + ["-1"])
+        for on_unknown in ("skip", "error"):
+            def run():
+                return repr(list(ingest_attributes(
+                    io.StringIO(points), "point", n=25, on_unknown=on_unknown,
+                ).items()))
+
+            bulk, line = _both_paths(monkeypatch, run)
+            assert bulk == line
+
+    def test_block_path_taken(self, monkeypatch):
+        calls = []
+        real = ingest_mod._split_block
+        monkeypatch.setattr(
+            ingest_mod, "_split_block",
+            lambda text, fields: calls.append(real(text, fields)) or calls[-1],
+        )
+        ingest_edge_list(io.StringIO("# h\n" + "0 1\n1 2\n" * 40))
+        assert calls and all(c is not None for c in calls)
+
+    def test_comment_lines_take_line_parser(self, monkeypatch):
+        seen = []
+        real = ingest_mod._split_block
+        monkeypatch.setattr(
+            ingest_mod, "_split_block",
+            lambda text, fields: seen.append(text) or real(text, fields),
+        )
+        _, stats = ingest_edge_list(
+            io.StringIO("# nodes 3 edges 2\n0 1\n1 2\n"), with_stats=True,
+        )
+        assert stats.declared_nodes == 3 and stats.comment_lines == 1
+        assert not any("#" in text for text in seen)
+
+
+MALFORMED = [
+    ("0 1\n1 2 3\n", {}),
+    ("0 1\n7\n", {}),
+    ("0 1\nalice bob\n", {}),
+    ("0 1\n1 2\nx 4\n", {}),
+    ("0 1\n1 x\ny 2\n", {"chunk_lines": 2}),
+    ("-1 2\n", {}),
+    ("-1 2\n2 -1\n", {"duplicates": "error"}),
+    (f"0 {2 ** 70}\n", {}),
+    ("# nodes 2 edges 2\n0 1\n1 2\n", {}),
+    ("# nodes 3 edges 5\n0 1\n1 2\n", {}),
+    ("# nodes 9 edges 1\n10 700\n", {}),
+    ("0 1\n1 1\n", {"self_loops": "error"}),
+    ("0 1\n1 0\n", {"duplicates": "error"}),
+    ("0 1\n1 2\n2 3\n1 0\n", {"chunk_lines": 2, "duplicates": "error"}),
+    ("700 10\n10 700\n", {"duplicates": "error"}),
+    ("0 1\nx 2\n3 4 5\n", {}),
+    ("0 1\n1 2\nbad row here\n", {}),
+    ("\n".join(f"{i} {i + 1}" for i in range(5000)),
+     {"chunk_lines": 100, "memory_limit_mb": 0.01}),
+]
+
+
+@pytest.mark.parametrize("text, kwargs", MALFORMED)
+@pytest.mark.parametrize("read_chars", [7, 1 << 20])
+def test_malformed_edges_same_error_on_both_paths(
+    monkeypatch, text, kwargs, read_chars,
+):
+    monkeypatch.setattr(graph_io, "_READ_CHARS", read_chars)
+    bulk, line = _both_paths(
+        monkeypatch, lambda: ingest_edge_list(io.StringIO(text), **kwargs),
+    )
+    assert bulk[0] == "error" and bulk[1] == "IngestError"
+    assert bulk == line
+
+
+MALFORMED_POINTS = [
+    ("0 1 2\n1 a b\n", {"n": 3}),
+    ("0 1 2\n1 2\n", {"n": 3}),
+    ("0 1 2\n7 1 2\n", {"n": 3}),
+    ("0 1 2\nzz 1 2\n", {"n": 3}),
+    ("0 1 2\n-1 1 2\n", {}),
+    ("0 1 2\n10 1 2\n", {"label_to_id": {"0": 0}}),
+    ("0 1 2\n007 1 2\n", {"label_to_id": {"0": 0, "7": 1}}),
+]
+
+
+@pytest.mark.parametrize("text, kwargs", MALFORMED_POINTS)
+def test_malformed_points_same_error_on_both_paths(monkeypatch, text, kwargs):
+    bulk, line = _both_paths(
+        monkeypatch,
+        lambda: ingest_attributes(io.StringIO(text), "point", **kwargs),
+    )
+    assert bulk[0] == "error" and bulk[1] == "IngestError"
+    assert "attribute line 2" in bulk[2]
+    assert bulk == line
+
+
+class TestTypedAttributeFailures:
+    def test_non_numeric_point_coordinate(self):
+        with pytest.raises(IngestError, match="attribute line 1:"):
+            ingest_attributes(io.StringIO("0 a b\n"), "point")
+
+    def test_point_line_with_two_fields(self):
+        with pytest.raises(IngestError, match="attribute line 2: point"):
+            ingest_attributes(io.StringIO("0 1 2\n1 5\n"), "point")
+
+    def test_non_numeric_counter_count(self):
+        with pytest.raises(IngestError, match="attribute line 1:"):
+            ingest_attributes(io.StringIO("0 a:b\n"), "counter")
+
+
+def test_from_edges_matches_lexsort_on_shuffled_input():
+    rng = np.random.default_rng(3)
+    n = 500
+    pairs = np.unique(np.sort(rng.integers(0, n, (4000, 2)), axis=1), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    rng.shuffle(pairs)
+    flip = rng.random(len(pairs)) < 0.5
+    eu = np.where(flip, pairs[:, 1], pairs[:, 0])
+    ev = np.where(flip, pairs[:, 0], pairs[:, 1])
+    g = CSRGraph.from_edges(n, eu, ev)
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, dst[np.lexsort((dst, src))])
+    assert g.indices.dtype == np.int64
