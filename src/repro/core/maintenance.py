@@ -99,7 +99,9 @@ def maintain_session(session, kind: str, u: int, v: Optional[int] = None) -> boo
     """Patch every cache of ``session`` for one already-applied edit.
 
     ``kind`` is ``"add_edge"`` / ``"remove_edge"`` / ``"attribute"``;
-    the session's graph has already been mutated.  Returns ``True``
+    the session's CSR is already patched (and so is its dict graph, if
+    it holds one): maintenance reads neighbours and attributes from that
+    CSR and patches the caches only.  Returns ``True``
     when every layer was brought in step (the session must then *not*
     bump its version) and ``False`` when the caller should fall back to
     invalidation.
@@ -148,29 +150,20 @@ def _drop_threshold_seeded(session, ms: MaintenanceStats) -> None:
 
 
 def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats) -> bool:
-    graph = session.graph
+    graph = session.csr
     _drop_threshold_seeded(session, ms)
 
     # ------------------------------------------------------------------
-    # Classify: which vertex pairs can change a keep decision, and keep
-    # the frozen CSR substrate (if any) in step with the edit.
+    # Classify: which vertex pairs can change a keep decision.
     # ------------------------------------------------------------------
     if kind == "attribute":
         dirty_pairs = sorted(
-            (u, w) if u < w else (w, u) for w in graph.neighbors(u)
+            (u, w) if u < w else (w, u) for w in graph.neighbors(u).tolist()
         )
-        if session._csr is not None:
-            session._csr = _csr.with_attribute(session._csr, u, graph.attribute(u))
     elif kind in ("add_edge", "remove_edge"):
         if v is None:
             return False
-        a, b = (u, v) if u < v else (v, u)
-        dirty_pairs = [(a, b)]
-        if session._csr is not None:
-            if kind == "add_edge":
-                session._csr = _csr.with_edge_added(session._csr, a, b)
-            else:
-                session._csr = _csr.with_edge_removed(session._csr, a, b)
+        dirty_pairs = [(u, v) if u < v else (v, u)]
     else:
         return False
 

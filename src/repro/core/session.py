@@ -106,8 +106,8 @@ from repro.core.solver import (
 )
 from repro.core.stats import SearchStats
 from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
-from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.csr import CSRGraph, edit_steps
+from repro.graph.attributed_graph import AttributedGraph, check_edge, check_vertex
+from repro.graph.csr import CSRGraph, apply_step, edit_steps
 from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.metrics import MetricKind
 from repro.similarity.threshold import SimilarityPredicate
@@ -115,6 +115,13 @@ from repro.similarity.threshold import SimilarityPredicate
 #: ``(metric callable, comparison direction)`` — the cache dimension a
 #: predicate contributes besides its threshold.
 MetricKey = Tuple[Callable, Any]
+
+#: The dict-graph mutator of each :func:`~repro.graph.csr.edit_steps` kind.
+_DICT_STEPS = {
+    "add_edge": AttributedGraph.add_edge,
+    "remove_edge": AttributedGraph.remove_edge,
+    "attribute": AttributedGraph.set_attribute,
+}
 
 
 def _positive_k(k: Any) -> int:
@@ -227,12 +234,16 @@ class KRCoreSession:
     ----------
     graph:
         The attributed graph (or an already-frozen
-        :class:`~repro.graph.csr.CSRGraph`).  With ``copy=True`` (the
-        default) a private copy is kept, so :meth:`edit` never mutates
-        the caller's object.  A CSR graph is served as it is: the dict
-        :class:`AttributedGraph` is built from it only when the
-        :attr:`graph` property, the ``python`` backend or the first edit
-        asks for it.
+        :class:`~repro.graph.csr.CSRGraph`).  It is frozen once, here,
+        and that CSR is the session's one mutable graph: every query
+        reads it and every edit patches it.  A dict
+        :class:`AttributedGraph` is held beside it only when the caller
+        gave one — with ``copy=True`` (the default) a private copy, so
+        :meth:`edit` never mutates the caller's object; with
+        ``copy=False`` the caller's object, which edits then update in
+        place — or once the :attr:`graph` property or the ``python``
+        backend exported one.  A held dict graph receives every edit
+        after the CSR does.
     metric:
         Default metric for queries passing only ``r`` (name or callable,
         default Jaccard); each query may override it.
@@ -274,15 +285,10 @@ class KRCoreSession:
         result_cache_limit: int = 4096,
         maintenance: bool = True,
     ):
-        # At least one form is always held; ``_csr`` is dropped only
-        # while ``_graph`` exists to re-freeze it from.
-        self._graph: Optional[AttributedGraph]
-        if isinstance(graph, CSRGraph):
-            self._graph = None
-            self._csr: Optional[CSRGraph] = graph
-        else:
+        self._csr: CSRGraph = freeze_graph(graph)
+        self._graph: Optional[AttributedGraph] = None
+        if not isinstance(graph, CSRGraph):
             self._graph = graph.copy() if copy else graph
-            self._csr = None
         self._default_metric = metric
         self._default_config = config
         self._default_backend = backend
@@ -319,12 +325,22 @@ class KRCoreSession:
     # Graph access and edits
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> AttributedGraph:
-        """The session's current graph (treat as read-only; use the mutators).
+    def csr(self) -> CSRGraph:
+        """The session's current graph in CSR form (read-only).
 
-        Built from the CSR form on first access when the session was
-        given (or loaded) a :class:`CSRGraph`; edits keep both forms in
-        step from then on.
+        Each edit replaces it with a patched copy, so a reference taken
+        earlier keeps showing the graph as it was then.
+        """
+        return self._csr
+
+    @property
+    def graph(self) -> AttributedGraph:
+        """The session's current graph as a dict :class:`AttributedGraph`
+        (treat as read-only; use the mutators).
+
+        The graph the caller gave (or its copy), or else an export of
+        :attr:`csr` built on first access; either way later edits keep
+        it in step with the CSR.
         """
         if self._graph is None:
             self._graph = self._csr.to_attributed()
@@ -332,17 +348,14 @@ class KRCoreSession:
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert an edge; returns whether the graph changed."""
-        changed = self.graph.add_edge(u, v)
-        if changed:
-            self._after_edit("add_edge", u, v)
-        return changed
+        check_edge(u, v, self._csr.vertex_count)
+        return not self._csr.has_edge(u, v) and self._apply("add_edge", u, v)
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Delete an edge; returns whether the graph changed."""
-        changed = self.graph.remove_edge(u, v)
-        if changed:
-            self._after_edit("remove_edge", u, v)
-        return changed
+        check_vertex(u, self._csr.vertex_count)
+        check_vertex(v, self._csr.vertex_count)
+        return self._csr.has_edge(u, v) and self._apply("remove_edge", u, v)
 
     def set_attribute(self, u: int, value: Any) -> bool:
         """Update a vertex attribute; returns whether the graph changed.
@@ -351,14 +364,12 @@ class KRCoreSession:
         left exactly as a fresh session on the same graph would build it,
         instead of being invalidated for nothing.
         """
-        graph = self.graph
-        if graph.has_attribute(u) and self._same_value(
-            graph.attribute(u), value
+        check_vertex(u, self._csr.vertex_count)
+        if self._csr.has_attribute(u) and self._same_value(
+            self._csr.attribute(u), value
         ):
             return False
-        graph.set_attribute(u, value)
-        self._after_edit("attribute", u)
-        return True
+        return self._apply("attribute", u, value)
 
     @staticmethod
     def _same_value(a: Any, b: Any) -> bool:
@@ -367,17 +378,22 @@ class KRCoreSession:
         except Exception:
             return False  # incomparable (e.g. array-valued): treat as changed
 
-    def _after_edit(self, kind: str, u: int, v: Optional[int] = None) -> None:
-        """Maintain caches in place for one applied edit, or invalidate.
+    def _apply(self, kind: str, u: int, arg: Any) -> bool:
+        """Apply one changing :func:`~repro.graph.csr.edit_steps` step to
+        the CSR, then to a held dict graph, then to the caches.
 
         :func:`~repro.core.maintenance.maintain_session` patches every
         cache layer with work bounded by the edit's affected region; when
         it declines (unsupported shape, violated invariant, error), the
         session falls back to the wholesale version bump.
         """
-        if self._maintenance and maintain_session(self, kind, u, v):
-            return
-        self._touch()
+        self._csr = apply_step(self._csr, kind, u, arg)
+        if self._graph is not None:
+            _DICT_STEPS[kind](self._graph, u, arg)
+        v = None if kind == "attribute" else arg
+        if not (self._maintenance and maintain_session(self, kind, u, v)):
+            self._version += 1
+        return True
 
     def edit(
         self,
@@ -423,9 +439,13 @@ class KRCoreSession:
 
         The next query re-runs preprocessing and search from scratch;
         normally unnecessary (edits invalidate precisely), but useful
-        after out-of-band mutation of a ``copy=False`` graph.
+        after out-of-band mutation of a ``copy=False`` graph: a held
+        dict graph is re-frozen into :attr:`csr`, so such mutations
+        reach the queries.
         """
-        self._touch()
+        if self._graph is not None:
+            self._csr = freeze_graph(self._graph)
+        self._version += 1
         self._results.clear()
         self._unsaved_results.clear()
         self._ensure_fresh()
@@ -490,9 +510,7 @@ class KRCoreSession:
         from repro.store import codec
 
         self._ensure_fresh()
-        fp = store.save_graph(
-            name, self._csr if self._csr is not None else self._graph
-        )
+        fp = store.save_graph(name, self._csr)
         for (mkey, backend), cache in self._edge_values.items():
             try:
                 mname = codec.metric_name(mkey[0])
@@ -572,13 +590,6 @@ class KRCoreSession:
                 continue
             session._result_put(key, value, saved=True)
         return session
-
-    def _touch(self) -> None:
-        self._version += 1
-        if self._graph is not None:
-            # The dict graph may have moved on without the CSR (an edit
-            # maintenance declined): re-freeze from it when next needed.
-            self._csr = None
 
     def _ensure_fresh(self) -> None:
         if self._prep_version != self._version:
@@ -1396,11 +1407,7 @@ class KRCoreSession:
             self._result_evictions += 1
 
     def _substrate(self, backend: str):
-        if backend == "csr":
-            if self._csr is None:
-                self._csr = freeze_graph(self._graph)
-            return self._csr
-        return self.graph
+        return self._csr if backend == "csr" else self.graph
 
     def _edge_cache(
         self, mkey: MetricKey, predicate: SimilarityPredicate, backend: str

@@ -25,7 +25,9 @@ the maintained session must agree with a fresh session built directly
 on the final graph — result for result, and (after
 :meth:`~repro.core.session.KRCoreSession.drop_results`, which forces a
 full re-search over the *maintained preprocessing*) search counter for
-search counter.  See :func:`run_edit_stream_case`.
+search counter.  The maintained session's CSR, which its edits patch,
+must also equal a freeze of its own dict graph.  See
+:func:`run_edit_stream_case`.
 
 Both runners also check the session's threshold-seeded front end: a csr
 session warmed at a looser threshold derived from the case (no rng
@@ -53,6 +55,7 @@ from repro.core.naive import _is_krcore_vertexset, brute_force_maximal_krcores
 from repro.core.session import KRCoreSession, prepare_components
 from repro.core.stats import SearchStats
 from repro.fuzz.space import FuzzCase
+from repro.graph.csr import CSRGraph
 from repro.similarity.metrics import MetricKind
 from repro.similarity.threshold import SimilarityPredicate
 
@@ -86,7 +89,7 @@ DEFAULT_ORACLE_LIMIT = 12
 class Disagreement:
     """One observed divergence between implementations."""
 
-    kind: str     # backend-result | backend-stats | oracle-* | engine-error
+    kind: str     # backend-result | oracle-* | maintenance-* | csr-drift | ...
     detail: str
 
     def __str__(self) -> str:
@@ -359,6 +362,17 @@ def _query_session(case: FuzzCase, session: KRCoreSession, **overrides):
     return sorted(sorted(c.vertices) for c in cores), stats
 
 
+def _csr_drift(session: KRCoreSession) -> Optional[str]:
+    """The session's CSR against a freeze of its dict graph, or ``None``
+    when the two forms hold the same graph."""
+    got, want = (
+        (c.indptr.tolist(), c.indices.tolist(),
+         {u: c.attribute(u) for u in c.vertices() if c.has_attribute(u)})
+        for c in (session.csr, CSRGraph.from_attributed(session.graph))
+    )
+    return None if got == want else f"csr {got} != frozen {want}"
+
+
 def run_edit_stream_case(
     case: FuzzCase, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CaseResult:
@@ -369,10 +383,14 @@ def run_edit_stream_case(
 
     1. the maintained session's results on the final graph must equal a
        fresh session's (built directly on the final graph, same config);
-    2. the maintenance layer must not have swallowed an internal error
+    2. the maintained session's CSR (patched by every edit) must equal
+       a freeze of its dict graph (``csr-drift``) — the fresh session is
+       built from that dict graph, so a drifted CSR would go unseen by
+       the result checks;
+    3. the maintenance layer must not have swallowed an internal error
        (``maintenance_stats.errors`` stays zero — errors fall back to
        recompute, which keeps results right but hides the bug);
-    3. after :meth:`~repro.core.session.KRCoreSession.drop_results` the
+    4. after :meth:`~repro.core.session.KRCoreSession.drop_results` the
        re-query searches every component over the *maintained*
        preprocessing caches, so its counters must match the fresh
        session's first query on every parity counter — any divergence
@@ -405,6 +423,12 @@ def run_edit_stream_case(
             return out
         if backend == "csr":
             out.stats = stats_f.to_dict()
+        drift = _csr_drift(maintained)
+        if drift is not None:
+            out.disagreement = Disagreement(
+                "csr-drift", f"{backend}: {drift} after edits {case.edits}"
+            )
+            return out
         if res_m != res_f:
             out.disagreement = Disagreement(
                 "maintenance-result",

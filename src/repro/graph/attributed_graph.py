@@ -17,6 +17,21 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 from repro.exceptions import GraphError
 
 
+def check_vertex(u: Any, n: int) -> None:
+    """Raise :class:`GraphError` unless ``u`` is a vertex id of an
+    ``n``-vertex graph (a plain ``int`` in ``0 .. n-1``)."""
+    if not (isinstance(u, int) and 0 <= u < n):
+        raise GraphError(f"vertex {u!r} is not in the graph (n={n})")
+
+
+def check_edge(u: Any, v: Any, n: int) -> None:
+    """:func:`check_vertex` of both endpoints, then refuse a self loop."""
+    check_vertex(u, n)
+    check_vertex(v, n)
+    if u == v:
+        raise GraphError(f"self loop ({u},{u}) is not allowed")
+
+
 class AttributedGraph:
     """Undirected simple graph with per-vertex attributes.
 
@@ -142,10 +157,7 @@ class AttributedGraph:
         Returns ``True`` if the edge was new, ``False`` if it already
         existed.  Self loops raise :class:`GraphError`.
         """
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise GraphError(f"self loop ({u},{u}) is not allowed")
+        check_edge(u, v, len(self._adj))
         if v in self._adj[u]:
             return False
         self._adj[u].add(v)
@@ -261,7 +273,4 @@ class AttributedGraph:
         )
 
     def _check_vertex(self, u: int) -> None:
-        if not (isinstance(u, int) and 0 <= u < len(self._adj)):
-            raise GraphError(
-                f"vertex {u!r} is not in the graph (n={len(self._adj)})"
-            )
+        check_vertex(u, len(self._adj))

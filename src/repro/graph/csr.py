@@ -424,9 +424,9 @@ def _insert_positions(csr: CSRGraph, u: int, v: int) -> Tuple[int, int]:
 
 def with_edge_added(csr: CSRGraph, u: int, v: int) -> CSRGraph:
     """New graph with undirected edge ``(u, v)`` spliced in — O(m) copy,
-    no re-sort.  Attributes and labels are shared by reference; the
-    maintenance layer uses this to patch cached CSR snapshots instead of
-    re-freezing the whole graph."""
+    no re-sort.  Attributes and labels are shared by reference; session
+    edits and the maintenance layer patch CSR graphs with this instead
+    of re-freezing the whole graph."""
     if u == v:
         raise GraphError(f"self-loop ({u}, {v}) is not allowed")
     if csr.has_edge(u, v):
@@ -490,6 +490,15 @@ def edit_steps(
         yield "attribute", u, value
 
 
+def apply_step(csr: CSRGraph, kind: str, u: int, arg: Any) -> CSRGraph:
+    """New graph with one :func:`edit_steps` step applied."""
+    if kind == "add_edge":
+        return with_edge_added(csr, u, arg)
+    if kind == "remove_edge":
+        return with_edge_removed(csr, u, arg)
+    return with_attribute(csr, u, arg)
+
+
 def apply_edit(
     csr: CSRGraph,
     add_edges: Iterable[Tuple[int, int]] = (),
@@ -497,15 +506,9 @@ def apply_edit(
     attributes: Optional[Dict[int, Any]] = None,
 ) -> CSRGraph:
     """New graph with one batch edit applied, step by step in
-    :func:`edit_steps` order through :func:`with_edge_added`,
-    :func:`with_edge_removed` and :func:`with_attribute`."""
-    for kind, u, arg in edit_steps(add_edges, remove_edges, attributes):
-        if kind == "add_edge":
-            csr = with_edge_added(csr, u, arg)
-        elif kind == "remove_edge":
-            csr = with_edge_removed(csr, u, arg)
-        else:
-            csr = with_attribute(csr, u, arg)
+    :func:`edit_steps` order through :func:`apply_step`."""
+    for step in edit_steps(add_edges, remove_edges, attributes):
+        csr = apply_step(csr, *step)
     return csr
 
 

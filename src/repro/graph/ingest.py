@@ -59,15 +59,15 @@ from typing import (
 
 import numpy as np
 
-from repro.exceptions import GraphError, IngestError
-from repro.graph import io as graph_io
+from repro.exceptions import IngestError
 from repro.graph.csr import CSRGraph
 from repro.graph.io import (
     EDGE_POLICIES,
     _check_edge_policy,
-    _open_for_read,
+    iter_blocks,
     iter_raw_lines,
-    parse_attribute_line,
+    parse_attribute_record,
+    split_edge_line,
 )
 
 PathOrFile = Union[str, os.PathLike, TextIO]
@@ -141,34 +141,6 @@ def _parse_header_counts(line: str) -> Tuple[Optional[int], Optional[int]]:
     return nodes, edges
 
 
-def _iter_blocks(source: PathOrFile) -> Iterator[str]:
-    """Stream the text in blocks of about ``_READ_CHARS`` characters.
-
-    Each block ends right after its last ``\\n``, so no block splits a
-    line or a ``\\r\\n`` pair, and the blocks' ``splitlines()`` are the
-    lines of :func:`iter_raw_lines`.  A read with no ``\\n`` at all (a
-    bare-``\\r`` dump) is cut after its last ``\\r`` that has a character
-    after it, so memory stays about one block plus one line.
-    """
-    fh, should_close = _open_for_read(source)
-    try:
-        carry = ""
-        while True:
-            chunk = fh.read(graph_io._READ_CHARS)
-            if not chunk:
-                break
-            buf = carry + chunk
-            cut = buf.rfind("\n") + 1 or buf.rfind("\r", 0, len(buf) - 1) + 1
-            if cut:
-                yield buf[:cut]
-            carry = buf[cut:]
-        if carry:
-            yield carry
-    finally:
-        if should_close:
-            fh.close()
-
-
 def _split_block(
     text: str, fields: int,
 ) -> Optional[Tuple[List[str], np.ndarray, int]]:
@@ -217,7 +189,7 @@ def _route_blocks(
     """Feed every block of ``source`` to ``parse_block`` after its
     comment lines, or to ``parse_lines`` where ``parse_block`` declines
     (returns ``False``) or is ``None``."""
-    for block in _iter_blocks(source):
+    for block in iter_blocks(source):
         cut = _comment_cut(block) if parse_block else len(block)
         parse_lines(block[:cut])
         rest = block[cut:]
@@ -331,14 +303,9 @@ def _parse_edges(
                     stats.declared_nodes = nodes
                     stats.declared_edges = edges
                 continue
-            parts = line.split(sep)
-            if len(parts) != 2:
-                raise IngestError(
-                    f"edge list line {lineno}: expected exactly two fields, "
-                    f"got {len(parts)} in {line!r}"
-                )
-            toks_u.append(parts[0])
-            toks_v.append(parts[1])
+            u, v = split_edge_line(line, sep, lineno)
+            toks_u.append(u)
+            toks_v.append(v)
             linenos.append(lineno)
             stats.edge_lines += 1
             if len(toks_u) >= chunk_lines:
@@ -558,10 +525,7 @@ def ingest_attributes(
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                label, value = parse_attribute_line(line, kind)
-            except (GraphError, ValueError) as exc:
-                raise IngestError(f"attribute line {lineno}: {exc}") from None
+            label, value = parse_attribute_record(line, kind, lineno)
             if label_to_id is not None:
                 ident = label_to_id.get(label)
             else:

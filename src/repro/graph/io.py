@@ -15,13 +15,16 @@ Attributes, three kinds selected by ``kind``:
 * ``"set"``    — ``vertex item1 item2 ...`` (interest/keyword set)
 * ``"counter"``— ``vertex item:count item:count ...`` (counted keywords,
   the DBLP "attended conferences / published journals" multiset)
+
+A malformed line raises :class:`~repro.exceptions.IngestError` naming
+its line, the error :mod:`repro.graph.ingest` raises for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, Iterator, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.exceptions import GraphError, IngestError
 from repro.graph.attributed_graph import AttributedGraph
@@ -46,48 +49,47 @@ def _open_for_read(source: PathOrFile):
     return open(source, "r", encoding="utf-8", newline=""), True
 
 
-def _ends_with_break(text: str) -> bool:
-    # str.splitlines' break set, minus "\r" (handled by the hold logic).
-    return text.endswith(("\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
-                          "\x85", "\u2028", "\u2029"))
+def iter_blocks(source: PathOrFile, read_chars: Optional[int] = None) -> Iterator[str]:
+    """Stream the text in blocks of about ``read_chars`` characters
+    (default: ``_READ_CHARS``, read at call time).
 
-
-def iter_raw_lines(source: PathOrFile, read_chars: int = _READ_CHARS) -> Iterator[str]:
-    """Stream logical lines with universal newline handling.
-
-    Splits on ``\\n``, ``\\r\\n`` and bare ``\\r`` (classic-Mac dumps)
-    regardless of how the handle was opened — a caller-supplied
-    ``io.StringIO`` gets the same lines as a path, so a stray ``\\r``
-    can never survive into a token and silently change labels or
-    fingerprints.  Lines are yielded without their terminators; memory
-    is bounded by ``read_chars`` plus one logical line.
+    Each block ends right after its last ``\\n``, so no block splits a
+    line or a ``\\r\\n`` pair, and a file's lines are its blocks'
+    ``splitlines()``.  A read with no ``\\n`` at all (a bare-``\\r``
+    dump) is cut after its last ``\\r`` that has a character after it,
+    so memory stays about one block plus one line.
     """
     fh, should_close = _open_for_read(source)
     try:
-        buf = ""
+        carry = ""
         while True:
-            chunk = fh.read(read_chars)
+            chunk = fh.read(read_chars or _READ_CHARS)
             if not chunk:
                 break
-            buf += chunk
-            if buf.endswith("\r"):
-                # The next read may start with "\n", completing a CRLF
-                # pair — hold the "\r" back until we can tell.
-                hold = "\r"
-                buf = buf[:-1]
-            else:
-                hold = ""
-            lines = buf.splitlines()
-            if buf and not _ends_with_break(buf):
-                buf = lines.pop() + hold
-            else:
-                buf = hold
-            yield from lines
-        if buf:
-            yield from buf.splitlines()
+            buf = carry + chunk
+            cut = buf.rfind("\n") + 1 or buf.rfind("\r", 0, len(buf) - 1) + 1
+            if cut:
+                yield buf[:cut]
+            carry = buf[cut:]
+        if carry:
+            yield carry
     finally:
         if should_close:
             fh.close()
+
+
+def iter_raw_lines(source: PathOrFile, read_chars: Optional[int] = None) -> Iterator[str]:
+    """Stream logical lines with universal newline handling.
+
+    Splits on ``\\n``, ``\\r\\n``, bare ``\\r`` (classic-Mac dumps) and
+    every other break of ``str.splitlines``, regardless of how the
+    handle was opened — a caller-supplied ``io.StringIO`` gets the same
+    lines as a path, so a stray ``\\r`` can never survive into a token
+    and silently change labels or fingerprints.  Lines are yielded
+    without their terminators, from :func:`iter_blocks`.
+    """
+    for block in iter_blocks(source, read_chars):
+        yield from block.splitlines()
 
 
 def _check_edge_policy(name: str, value: str) -> None:
@@ -119,24 +121,16 @@ def _parse_vertex_count_header(line: str) -> Optional[int]:
     return None
 
 
-def iter_edge_list(source: PathOrFile, sep: Optional[str] = None) -> Iterator[Tuple[str, str]]:
-    """Yield ``(u, v)`` label pairs from an edge-list file.
-
-    Lines starting with ``#`` and blank lines are skipped.  ``sep=None``
-    splits on any whitespace (the SNAP convention).  Line endings are
-    normalised (``\\n``, ``\\r\\n``, bare ``\\r``) before splitting, so a
-    carriage return never leaks into a label.
-    """
-    for lineno, raw in enumerate(iter_raw_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(sep)
-        if len(parts) < 2:
-            raise GraphError(
-                f"edge list line {lineno}: expected two fields, got {line!r}"
-            )
-        yield parts[0], parts[1]
+def split_edge_line(line: str, sep: Optional[str], lineno: int) -> List[str]:
+    """The two fields of a stripped edge-list line, for both edge
+    readers; any other field count is an :class:`IngestError`."""
+    parts = line.split(sep)
+    if len(parts) != 2:
+        raise IngestError(
+            f"edge list line {lineno}: expected exactly two fields, "
+            f"got {len(parts)} in {line!r}"
+        )
+    return parts
 
 
 def _build_from_edge_lines(
@@ -161,12 +155,7 @@ def _build_from_edge_lines(
             if declared is None:
                 declared = _parse_vertex_count_header(line)
             continue
-        parts = line.split(sep)
-        if len(parts) < 2:
-            raise GraphError(
-                f"edge list line {lineno}: expected two fields, got {line!r}"
-            )
-        a, b = parts[0], parts[1]
+        a, b = split_edge_line(line, sep, lineno)
         if a == b:
             if self_loops == "error":
                 raise IngestError(
@@ -252,14 +241,23 @@ def parse_attribute_line(line: str, kind: str) -> Tuple[str, Any]:
     raise GraphError(f"unknown attribute kind {kind!r}")
 
 
+def parse_attribute_record(line: str, kind: str, lineno: int) -> Tuple[str, Any]:
+    """:func:`parse_attribute_line` for both attribute readers; a
+    malformed line is an :class:`IngestError` naming ``lineno``."""
+    try:
+        return parse_attribute_line(line, kind)
+    except (GraphError, ValueError) as exc:
+        raise IngestError(f"attribute line {lineno}: {exc}") from None
+
+
 def read_attributes(source: PathOrFile, kind: str) -> Dict[str, Any]:
     """Load a whole attribute file into ``label -> value``."""
     out: Dict[str, Any] = {}
-    for raw in iter_raw_lines(source):
+    for lineno, raw in enumerate(iter_raw_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        label, value = parse_attribute_line(line, kind)
+        label, value = parse_attribute_record(line, kind, lineno)
         out[label] = value
     return out
 

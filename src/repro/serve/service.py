@@ -17,11 +17,13 @@ Identity is the canonical JSON of ``(graph, op, params)``; a request
 that joins an in-flight computation observes the graph as of that
 computation's start (requests are linearised at computation start).
 
-Edits apply the session's incremental maintenance path
-(:mod:`repro.core.maintenance`), patch the stored graph rows, and append
-to the persistent edit log — the stored fingerprint advances, so every
-derived row computed on the pre-edit graph stops being served at once.
-:meth:`flush` (and graceful shutdown via :meth:`close`) write-through
+Edits patch the session's CSR graph, apply its incremental maintenance
+path (:mod:`repro.core.maintenance`), and append to the persistent edit
+log under the edited CSR's fingerprint (the store's own hasher,
+:func:`~repro.graph.ingest.csr_fingerprint`) — the stored fingerprint
+advances, so every derived row computed on the pre-edit graph stops
+being served at once.  On the csr backend a daemon never builds a dict
+graph.  :meth:`flush` (and graceful shutdown via :meth:`close`) write-through
 the dirty session state.
 """
 
@@ -41,7 +43,7 @@ from repro.exceptions import (
     ServiceError,
     StoreError,
 )
-from repro.graph.io import graph_fingerprint
+from repro.graph.ingest import csr_fingerprint
 from repro.store import GraphStore, codec
 
 #: Read operations eligible for request coalescing.
@@ -411,7 +413,7 @@ class KRCoreService:
                 attributes=attributes,
             )
             if changed:
-                fp = graph_fingerprint(entry.session.graph)
+                fp = csr_fingerprint(entry.session.csr)
                 seq = self._store.record_edit(
                     name,
                     codec.encode_edit(add_edges, remove_edges, attributes),

@@ -14,6 +14,7 @@ from repro.core.api import (
     find_maximum_krcore,
     krcore_statistics,
 )
+from repro.core import maintenance
 from repro.core.config import basic_enum_config
 from repro.core.decomposition import krcore_vertex_memberships
 from repro.core.session import KRCoreSession
@@ -30,10 +31,15 @@ from repro.core.solver import (
 from repro.core.stats import SearchStats
 from repro.datasets.geosocial import geosocial_network
 from repro.datasets.planted import planted_communities
-from repro.exceptions import InvalidParameterError, SearchBudgetExceeded
+from repro.exceptions import (
+    GraphError,
+    InvalidParameterError,
+    SearchBudgetExceeded,
+)
 from repro.fuzz.differential import PARITY_COUNTERS
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
+from repro.graph.ingest import csr_fingerprint
 from repro.graph.io import graph_fingerprint
 from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.metrics import MetricKind
@@ -283,6 +289,21 @@ class TestEdits:
         )
         assert stats.cache_misses == 2
         assert stats.cache_hits == 0
+
+    @pytest.mark.parametrize("backend", ["csr", "python"])
+    def test_invalidate_refreezes_an_out_of_band_mutation(self, backend):
+        g = make_random_attr_graph(5, n=12, p=0.5)
+        session = KRCoreSession(g, copy=False, backend=backend)
+        before = session.enumerate(2, 0.3)
+        u, v = next(iter(g.edges()))
+        g.remove_edge(u, v)  # behind the session's back
+        g.set_attribute(u, frozenset())
+        session.invalidate()
+        assert not session.csr.has_edge(u, v)
+        assert session.csr.attribute(u) == frozenset()
+        want = KRCoreSession(g.copy(), backend=backend).enumerate(2, 0.3)
+        assert as_sorted_sets(session.enumerate(2, 0.3)) == as_sorted_sets(want)
+        assert as_sorted_sets(want) != as_sorted_sets(before)
 
     def test_result_cache_bounded(self):
         g = make_random_attr_graph(37, n=12)
@@ -653,6 +674,96 @@ class TestCSRPrimarySession:
         assert session.maintenance_stats.maintained == len(edits)
         assert graph_fingerprint(session.graph) == \
             graph_fingerprint(reference.graph)
+
+    @pytest.mark.parametrize("mode", ["maintained", "recompute", "declined"])
+    def test_edits_patch_the_csr_without_a_dict_graph(self, monkeypatch, mode):
+        graph = geosocial_network(2500, seed=3)
+        reference = KRCoreSession(graph, metric="euclidean")
+        u, v = next(iter(graph.edges()))
+        w = next(x for x in graph.vertices() if not graph.has_edge(u, x) and x != u)
+        edits = [
+            {"remove_edges": [(u, v)]},
+            {"add_edges": [(u, w)]},
+            {"attributes": {v: graph.attribute(w)}},
+        ]
+        if mode == "declined":
+            monkeypatch.setattr(maintenance, "_maintain", lambda *args: False)
+
+        def refuse(self):
+            raise AssertionError("an edit built the dict graph")
+
+        session = KRCoreSession(
+            freeze_graph(graph), metric="euclidean",
+            maintenance=mode != "recompute",
+        )
+        monkeypatch.setattr(CSRGraph, "to_attributed", refuse)
+        for k, r in self.POINTS:
+            session.statistics(k, r)
+        for edit in edits:
+            assert session.edit(**edit) is True
+            assert reference.edit(**edit) is True
+            for k, r in self.POINTS:
+                assert session.statistics(k, r) == reference.statistics(k, r)
+        assert session._graph is None
+        counts = session.maintenance_stats
+        assert (counts.edits, counts.maintained, counts.fallbacks) == {
+            "maintained": (3, 3, 0), "recompute": (0, 0, 0),
+            "declined": (3, 0, 3),
+        }[mode]
+        assert csr_fingerprint(session.csr) == graph_fingerprint(reference.graph)
+
+    def test_edit_errors_are_the_dict_graph_errors(self):
+        graph = geosocial_network(200, seed=3)
+        session = KRCoreSession(freeze_graph(graph), metric="euclidean")
+        calls = [
+            ("add_edge", (3, 3)), ("add_edge", (0, 200)),
+            ("add_edge", (-1, 0)), ("remove_edge", (0, 200)),
+            ("remove_edge", (np.int64(1), 0)), ("set_attribute", (200, None)),
+        ]
+        for name, args in calls:
+            with pytest.raises(GraphError) as want:
+                getattr(graph.copy(), name)(*args)
+            with pytest.raises(GraphError) as got:
+                getattr(session, name)(*args)
+            assert (type(got.value), str(got.value)) == \
+                (type(want.value), str(want.value))
+        assert session._graph is None
+        assert session.maintenance_stats.edits == 0
+
+    @pytest.mark.parametrize("given", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", ["csr", "python"])
+    def test_random_edit_stream_keeps_csr_equal_to_the_graph(
+        self, given, backend
+    ):
+        graph = make_geo_graph(7, n=60, p=0.12)
+        session = KRCoreSession(
+            graph if given == "dict" else freeze_graph(graph),
+            metric="euclidean", backend=backend,
+        )
+        rng = random.Random(11)
+        for step in range(60):
+            a, b = rng.sample(range(graph.vertex_count), 2)
+            roll = rng.random()
+            if roll < 0.4:
+                session.add_edge(a, b)
+            elif roll < 0.8:
+                eu, ev = session.csr.edge_array()
+                i = rng.randrange(eu.size)
+                session.remove_edge(int(eu[i]), int(ev[i]))
+            else:
+                session.set_attribute(a, session.csr.attribute(b))
+            if step % 5 == 0:
+                session.statistics(3, 40.0)
+        assert session.maintenance_stats.maintained > 0
+        want = CSRGraph.from_attributed(session.graph)
+        got = session.csr
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert [
+            (got.has_attribute(x), got.attribute(x)) for x in got.vertices()
+        ] == [
+            (want.has_attribute(x), want.attribute(x)) for x in want.vertices()
+        ]
 
 
 def _borderline_geo_graph() -> AttributedGraph:

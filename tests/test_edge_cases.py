@@ -15,6 +15,7 @@ from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.session import KRCoreSession
 from repro.exceptions import (
     GraphError,
+    IngestError,
     MissingAttributeError,
     SearchBudgetExceeded,
 )
@@ -90,11 +91,11 @@ class TestMalformedFiles:
             read_edge_list(io.StringIO("lonely\n"))
 
     def test_point_attribute_not_numeric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IngestError, match="attribute line 1: "):
             read_attributes(io.StringIO("v notanumber 2.0\n"), "point")
 
     def test_counter_attribute_not_numeric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IngestError, match="attribute line 1: "):
             read_attributes(io.StringIO("v key:abc\n"), "counter")
 
 

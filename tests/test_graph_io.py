@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import GraphError, IngestError
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.ingest import ingest_attributes, ingest_edge_list
 from repro.graph.io import (
     graph_fingerprint,
     iter_raw_lines,
@@ -47,6 +48,41 @@ class TestReadEdgeList:
         path.write_text("x y\ny z\n")
         g = read_edge_list(path)
         assert g.edge_count == 2
+
+
+def _raised(read, text, *args):
+    with pytest.raises(Exception) as err:
+        read(io.StringIO(text), *args)
+    return type(err.value), str(err.value)
+
+
+class TestReadersAgree:
+    """The dict readers and the streaming ingester refuse a malformed
+    file with the same typed error and message."""
+
+    @pytest.mark.parametrize("text", [
+        "0 1 2\n1 2\n",
+        "0 1\n\n# note\n2\n",
+        "0 1\n1\t2\t3\t4\n",
+    ])
+    def test_edge_rows(self, text):
+        want = _raised(ingest_edge_list, text)
+        assert want[0] is IngestError
+        assert "expected exactly two fields" in want[1]
+        assert _raised(read_edge_list, text) == want
+
+    @pytest.mark.parametrize("text,kind", [
+        ("0 1 2\n1 a b\n", "point"),
+        ("0 1 2\n# note\n1 2\n", "point"),
+        ("0 1 2 3\n", "point"),
+        ("0 a:1\n\n1 b:x\n", "counter"),
+        ("0 a:1 plain\n", "counter"),
+    ])
+    def test_attribute_lines(self, text, kind):
+        want = _raised(ingest_attributes, text, kind)
+        assert want[0] is IngestError
+        assert want[1].startswith("attribute line ")
+        assert _raised(read_attributes, text, kind) == want
 
 
 class TestParseAttributeLine:

@@ -17,6 +17,8 @@ import pytest
 from conftest import as_sorted_sets, make_random_attr_graph
 from repro.core.session import KRCoreSession
 from repro.exceptions import ServiceError
+from repro.graph.ingest import csr_fingerprint
+from repro.graph.io import graph_fingerprint
 from repro.serve import KRCoreService, make_server, run_server
 from repro.serve.http import KRCoreRequestHandler
 from repro.serve.service import _Inflight
@@ -240,6 +242,32 @@ class TestEditsAndFlush:
                     assert as_sorted_sets(reloaded.enumerate(k, r)) == \
                         as_sorted_sets(direct.enumerate(k, r))
                     assert reloaded.statistics(k, r) == direct.statistics(k, r)
+        finally:
+            svc.close()
+
+    def test_edit_fingerprint_is_the_graph_digest_of_the_edited_graph(
+        self, stored
+    ):
+        g = service_graph()
+        u, v = next(iter(g.edges()))
+        svc = KRCoreService(GraphStore(stored))
+        try:
+            out = svc.handle("g", "edit", {
+                "remove_edges": [[u, v]],
+                "attributes": {"0": ["set", ["solo"]]},
+            })
+            session = svc._entry("g").session
+            assert session._graph is None  # the daemon holds the CSR only
+            g.remove_edge(u, v)
+            g.set_attribute(0, frozenset({"solo"}))
+            assert out["fingerprint"] == graph_fingerprint(g)
+            assert out["fingerprint"] == \
+                graph_fingerprint(session.csr.to_attributed())
+            with GraphStore(stored) as store:  # not flushed: the log replays
+                assert store.fingerprint("g") == out["fingerprint"]
+                assert csr_fingerprint(store.load_graph("g")) == \
+                    out["fingerprint"]
+            assert session._graph is None
         finally:
             svc.close()
 
