@@ -3,8 +3,9 @@
 Samples (family, params, k, r, order, bound, branch, pruning flags,
 maximal-check, mode) configurations from a seeded rng, cross-checks the
 set-based and bitset engines against each other (results *and* stats
-parity) and — on oracle-sized instances — against the brute-force
-subset sweep, then shrinks any disagreement with delta debugging and
+parity), the session's front end against the reference front end
+(every case) and — on oracle-sized instances — the engines against the
+brute-force subset sweep, then shrinks any disagreement with delta debugging and
 serialises it as a standalone repro file that
 ``tests/test_fuzz_regression.py`` auto-loads.
 

@@ -64,8 +64,9 @@ def _execution_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     ex = parent.add_argument_group("execution")
     ex.add_argument("--backend", choices=("csr", "python"), default=None,
-                    help="preprocessing kernels: array-native CSR (default) "
-                         "or the set-based python reference")
+                    help="search engine: the bitset engines (default) or "
+                         "the set-based python reference; preprocessing is "
+                         "the same CSR pipeline on both")
     ex.add_argument("--executor", choices=EXECUTORS, default=None,
                     help="execution plan: in-process serial (default) or "
                          "a process pool with pickled components (results "

@@ -68,9 +68,10 @@ def enumerate_maximal_krcores(
         ``"advanced-p"`` — the Table 2 line-up.  Ignored when an explicit
         ``config`` is supplied (the configurable engine then runs).
     backend:
-        Preprocessing kernel selection: ``"csr"`` (array-native, the
-        config default) or ``"python"`` (set-based reference).  Overrides
-        the config's/preset's ``backend`` when given.
+        Search engine selection: ``"csr"`` (the bitset engines, the
+        config default) or ``"python"`` (the set-based reference
+        engines); both search the same CSR-prepared components.
+        Overrides the config's/preset's ``backend`` when given.
     plan:
         An :class:`~repro.core.config.ExecutionPlan` (or its field
         dict) selecting the executor (``"serial"`` | ``"process"``),

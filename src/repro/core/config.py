@@ -12,9 +12,10 @@ Every technique of the paper is a flag here, so the benchmark ablations
 * ``bound``              — ``"naive"`` (|M|+|C|), ``"color-kcore"``
   ([31]-style), ``"kkprime"`` (the novel Algorithm 6 bound);
 * ``order`` / ``branch`` / ``lam`` — the Section 7 search orders;
-* ``backend``            — preprocessing kernels: ``"csr"`` (array-native
-  CSR adjacency + vectorised peeling, the default) or ``"python"`` (the
-  original set-based code, kept as a reference fallback);
+* ``backend``            — the search engine: ``"csr"`` (the packed
+  bitset engines, the default) or ``"python"`` (the original set-based
+  engines, kept as the readable reference).  Preprocessing is the same
+  CSR pipeline either way;
 * ``executor`` / ``workers`` / ``split_depth`` — the execution plan:
   ``"serial"`` (one core, the default) or ``"process"`` (independent
   k-core components fanned out over a process pool; see
@@ -151,7 +152,7 @@ class SearchConfig:
     check_order: str = "degree"         # order inside Algorithm 4 (§7.4)
     bound: str = "kkprime"              # size upper bound (§6.2)
     warm_start: bool = False            # greedy lower bound before searching
-    backend: str = "csr"                # preprocessing kernels: "csr" or "python"
+    backend: str = "csr"                # search engine: "csr" (bitset) or "python" (sets)
     executor: str = "serial"            # "serial" | "process"
     workers: Optional[int] = None       # process-pool size; None = os.cpu_count()
     split_depth: int = 0                # maximum-search branch split depth

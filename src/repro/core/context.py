@@ -15,7 +15,7 @@ component via :func:`bitset_context` and cached — on the
 :class:`ComponentContext` for one-shot solves and on the session's
 prepared components across queries.
 
-:class:`ComponentArrays` is the csr backend's prepared form of a
+:class:`ComponentArrays` is the session's prepared form of a
 component: local-id edge and dissimilar-pair arrays from which the
 bitset context packs directly, with the dict ``adj`` and index built
 only when something asks for them.
@@ -72,11 +72,11 @@ class ComponentContext:
         Dissimilarity index restricted to the component.
     csr:
         Optional :class:`~repro.graph.csr.CSRGraph` of the *filtered*
-        graph the component was cut from (set by the CSR backend; the
+        graph the component was cut from (set by the session; the
         engines themselves only consume ``adj``).
     arrays:
         Optional :class:`ComponentArrays` the component was prepared as
-        (csr backend).  When given, ``adj`` and ``index`` may be passed
+        (by the session).  When given, ``adj`` and ``index`` may be passed
         as ``None``: they are read from ``arrays`` — built there on first
         use and cached — so a bitset-only search never builds them.
     """
@@ -294,7 +294,7 @@ class BitsetComponentContext:
 class ComponentArrays:
     """One prepared component as flat arrays over component-local ids.
 
-    The csr backend's batched preparation
+    The session's batched preparation
     (:func:`repro.core.solver.component_arrays`) cuts every component of
     a ``(k, r)`` point into one of these from a few whole-point array
     passes.  The bitset engine packs straight from the arrays

@@ -14,8 +14,8 @@ observations that make sweeps much cheaper than independent runs:
   k-core), so the session seeds the structural peeling for larger ``k``
   from the previous survivor set instead of the whole graph.
 
-Because the session runs the standard preprocessing pipeline, both
-profiles honour ``SearchConfig.backend`` (CSR kernels by default).
+Because the profiles run through a session, both honour
+``SearchConfig.backend`` (the search engine; bitset by default).
 
 The module also provides :func:`krcore_vertex_memberships` — which
 vertices belong to at least one maximal (k,r)-core — used by the case

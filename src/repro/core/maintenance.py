@@ -17,7 +17,7 @@ with work proportional to the *affected region* of a single edit:
    :class:`~repro.similarity.cache.EdgeSimilarityCache` re-scores just
    those values, then re-compares them at each cached threshold ``r``;
    old decisions are read off the materialised filtered graphs, so the
-   *filtered-edge delta* per ``(metric, r, backend)`` is exact.
+   *filtered-edge delta* per ``(metric, r)`` is exact.
 2. **seeded k-peel** — each cached survivor set is updated by
    :func:`~repro.graph.kcore.incremental_kcore_update`: a deletion
    cascade from removed-edge endpoints plus an insertion expansion from
@@ -27,9 +27,8 @@ with work proportional to the *affected region* of a single edit:
    vertex are rebuilt (merge on insert, split on delete), discovered by
    a seeded BFS (:func:`~repro.graph.components.local_components`)
    rather than a full re-split, and re-prepared through the session's
-   own preparation path (one batched pass on the csr backend);
-   untouched components keep their objects, signatures, and packed
-   bitsets.
+   own preparation path (one batched array pass); untouched components
+   keep their objects, signatures, and packed bitsets.
 4. **surgical eviction** — cached per-component results are evicted only
    when their component signature (the exact engine inputs) disappeared;
    an edit merging two components evicts the entries of *both*
@@ -101,7 +100,8 @@ def maintain_session(session, kind: str, u: int, v: Optional[int] = None) -> boo
     ``kind`` is ``"add_edge"`` / ``"remove_edge"`` / ``"attribute"``;
     the session's CSR is already patched (and so is its dict graph, if
     it holds one): maintenance reads neighbours and attributes from that
-    CSR and patches the caches only.  Returns ``True``
+    CSR and patches the caches only, which are the same for both search
+    engines.  Returns ``True``
     when every layer was brought in step (the session must then *not*
     bump its version) and ``False`` when the caller should fall back to
     invalidation.
@@ -136,7 +136,7 @@ def _drop_threshold_seeded(session, ms: MaintenanceStats) -> None:
     for fkey in session._seeded_filters:
         del session._filtered[fkey]
         session._survivors.pop(fkey, None)
-        for pkey in [p for p in session._prepared if p[:3] == fkey]:
+        for pkey in [p for p in session._prepared if p[:2] == fkey]:
             family_sigs.update(p.signature for p in session._prepared.pop(pkey))
     session._seeded_filters.clear()
     if family_sigs:
@@ -177,22 +177,20 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
     # ------------------------------------------------------------------
     # Edge-value layer: re-score only the dirty pairs.
     # ------------------------------------------------------------------
-    for (mkey, backend), cache in session._edge_values.items():
-        substrate = session._substrate(backend)
-        if kind == "attribute":
-            cache.refresh(substrate, dirty_vertex=u)
-        elif kind == "add_edge":
-            cache.refresh(substrate, added_edges=dirty_pairs)
-        else:
-            cache.refresh(substrate, removed_edges=dirty_pairs)
+    for cache in session._edge_values.values():
+        cache.refresh(
+            graph,
+            added_edges=dirty_pairs if kind == "add_edge" else (),
+            dirty_vertex=u if kind == "attribute" else None,
+        )
 
     # ------------------------------------------------------------------
-    # Filtered layer: exact keep-decision deltas per (metric, r, backend).
+    # Filtered layer: exact keep-decision deltas per (metric, r).
     # ------------------------------------------------------------------
     deltas: Dict[Tuple, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = {}
     for fkey in list(session._filtered):
-        mkey, _r, backend = fkey
-        cache = session._edge_values.get((mkey, backend))
+        mkey, _r = fkey
+        cache = session._edge_values.get(mkey)
         if cache is None:
             return False
         now_keep = cache.decisions(dirty_pairs, _r)
@@ -202,26 +200,18 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
                 if was and not now]
         deltas[fkey] = (adds, rems)
         filtered = session._filtered[fkey]
-        if backend == "python":
-            for pair in adds:
-                filtered.add_edge(*pair)
-            for pair in rems:
-                filtered.remove_edge(*pair)
-            if kind == "attribute":
-                filtered.set_attribute(u, graph.attribute(u))
-        else:
-            for pair in adds:
-                filtered = _csr.with_edge_added(filtered, *pair)
-            for pair in rems:
-                filtered = _csr.with_edge_removed(filtered, *pair)
-            if kind == "attribute":
-                filtered = _csr.with_attribute(filtered, u, graph.attribute(u))
-            session._filtered[fkey] = filtered
+        for pair in adds:
+            filtered = _csr.with_edge_added(filtered, *pair)
+        for pair in rems:
+            filtered = _csr.with_edge_removed(filtered, *pair)
+        if kind == "attribute":
+            filtered = _csr.with_attribute(filtered, u, graph.attribute(u))
+        session._filtered[fkey] = filtered
         ms.filtered_edges_added += len(adds)
         ms.filtered_edges_removed += len(rems)
 
     # ------------------------------------------------------------------
-    # Survivor layer: bounded two-phase peel per cached (r, backend, k).
+    # Survivor layer: bounded two-phase peel per cached (r, k).
     # ------------------------------------------------------------------
     inject_stale = os.environ.get(FAULT_ENV) == "stale-survivors"
     surv_deltas: Dict[Tuple, Tuple[Set[int], Set[int]]] = {}
@@ -230,13 +220,12 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         filtered = session._filtered.get(fkey)
         if filtered is None:
             return False
-        backend = fkey[2]
         for k, (survivors, size) in per_k.items():
             if (not adds and not rems) or inject_stale:
                 surv_deltas[(fkey, k)] = (set(), set())
                 continue
             gone, came = incremental_kcore_update(
-                filtered, k, survivors, adds, rems, backend
+                filtered, k, survivors, adds, rems
             )
             per_k[k] = (survivors, size - len(gone) + len(came))
             surv_deltas[(fkey, k)] = (gone, came)
@@ -247,8 +236,8 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
     # Component layer: rebuild only the parts the edit touched.
     # ------------------------------------------------------------------
     for pkey in list(session._prepared):
-        mkey, r, backend, k = pkey
-        fkey = (mkey, r, backend)
+        mkey, r, k = pkey
+        fkey = (mkey, r)
         parts = session._prepared[pkey]
         adds, rems = deltas.get(fkey, ((), ()))
         gone, came = surv_deltas.get((fkey, k), (set(), set()))
@@ -257,12 +246,9 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         if filtered is None or per_k is None or k not in per_k:
             return False
         survivors = per_k[k][0]
-        if backend == "csr":
-            def alive(x, _m=survivors):
-                return bool(_m[x])
-        else:
-            def alive(x, _s=survivors):
-                return x in _s
+
+        def alive(x, _m=survivors):
+            return bool(_m[x])
 
         touched: Set[int] = set()
         for pair in adds:
@@ -275,15 +261,13 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         for x in came:
             # A joiner attaches to (or bridges) existing parts through its
             # filtered neighbours — mark them so those parts rebuild.
-            row = filtered.neighbors(x)
-            touched.update(row.tolist() if backend == "csr" else row)
+            touched.update(filtered.neighbors(x).tolist())
 
         affected = [p for p in parts if not touched.isdisjoint(p.vertices)]
-        if backend == "csr":
-            # Untouched parts keep their adjacency/bitset (identical in the
-            # patched snapshot) but must point at the current filtered CSR.
-            for part in parts:
-                part.csr = filtered
+        # Untouched parts keep their adjacency/bitset (identical in the
+        # patched snapshot) but must point at the current filtered CSR.
+        for part in parts:
+            part.csr = filtered
         if not affected and not came:
             continue
 
@@ -303,12 +287,8 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
             return False
         # The rebuilt components are closed in the k-core, so splitting
         # just their vertices reproduces them exactly.
-        rebuilt = set().union(*comps)
-        if backend == "csr":
-            rebuilt = _csr.vertex_mask(filtered, rebuilt)
-        new_parts = session._prepared_parts(
-            predicate, backend, filtered, rebuilt
-        )
+        rebuilt = _csr.vertex_mask(filtered, set().union(*comps))
+        new_parts = session._prepared_parts(predicate, filtered, rebuilt)
 
         old_sigs = {p.signature for p in affected}
         dead_sigs = old_sigs - {p.signature for p in new_parts}

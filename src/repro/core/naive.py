@@ -16,17 +16,27 @@ Two implementations live here:
 
 Both operate on a :class:`ComponentContext`, i.e. after the shared
 preprocessing (dissimilar edge removal + k-core + components) that
-Algorithm 1 lines 1–3 prescribe.
+Algorithm 1 lines 1–3 prescribe.  :func:`reference_components` runs
+that preprocessing as an independent reference front end: set stages
+over the dict graph, never the session's CSR pipeline, so the oracle
+and the tests can check the session's prepared components against it.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
-from typing import FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple, Union
 
-from repro.core.context import ComponentContext
+from repro.core.config import SearchConfig
+from repro.core.context import Budget, ComponentContext
 from repro.core.results import filter_maximal
+from repro.core.stats import SearchStats
+from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.components import connected_components, is_connected
+from repro.graph.csr import CSRGraph
+from repro.similarity.index import remove_dissimilar_edges
+from repro.similarity.threshold import SimilarityPredicate
 
 
 def _is_krcore_vertexset(ctx: ComponentContext, vs: Set[int]) -> bool:
@@ -95,3 +105,50 @@ def brute_force_maximal_krcores(ctx: ComponentContext) -> List[FrozenSet[int]]:
             if _is_krcore_vertexset(ctx, vs):
                 kept.append(frozenset(vs))
     return kept
+
+
+def reference_components(
+    graph: Union[AttributedGraph, CSRGraph],
+    k: int,
+    predicate: SimilarityPredicate,
+    config: SearchConfig,
+) -> List[ComponentContext]:
+    """Algorithm 1 lines 1–4 on the dict graph: one context per component.
+
+    The reference front end: :func:`remove_dissimilar_edges` with scalar
+    metric calls, then the solver's set stages (``backend="python"``)
+    for the k-core peel, the component split, each component's
+    adjacency and its dissimilarity index.  Components come in the
+    session's order (largest in-component degree first, ties in
+    component order); every context shares one fresh
+    :class:`SearchStats` and an unlimited :class:`Budget`.
+    """
+    # The solver imports this module's engines, so its stages load here.
+    from repro.core.solver import (
+        component_adjacency,
+        component_index,
+        component_sets,
+        kcore_survivors,
+        max_component_degree,
+    )
+
+    if isinstance(graph, CSRGraph):
+        graph = graph.to_attributed()
+    filtered = remove_dissimilar_edges(graph, predicate)
+    survivors = kcore_survivors(filtered, k, "python")
+    stats, budget = SearchStats(), Budget(None, None)
+    contexts = [
+        ComponentContext(
+            vertices=frozenset(comp),
+            adj=component_adjacency(filtered, comp, survivors, "python"),
+            index=component_index(graph, predicate, comp, "python"),
+            k=k,
+            config=config,
+            stats=stats,
+            budget=budget,
+            rng=random.Random(config.seed),
+        )
+        for comp in component_sets(filtered, survivors, "python")
+    ]
+    contexts.sort(key=lambda ctx: -max_component_degree(ctx.adj))
+    return contexts

@@ -5,19 +5,20 @@ function per stage; :class:`repro.core.session.KRCoreSession` — which
 runs every public query — composes them with its caches interposed
 between the stages:
 
-* :func:`freeze_graph`        — CSR build (csr backend substrate);
+* :func:`freeze_graph`        — CSR build (the session's one graph form);
 * :func:`kcore_survivors`     — k-core peel (optionally warm-started);
-* :func:`component_arrays`    — csr backend: component split and every
-  component's similar edges, dissimilar pairs, degrees and signature
-  parts, cut from a few array passes over the whole ``(k, r)`` point;
+* :func:`component_arrays`    — component split and every component's
+  similar edges, dissimilar pairs, degrees and signature parts, cut
+  from a few array passes over the whole ``(k, r)`` point;
 * :func:`component_sets`      — connected-component split;
 * :func:`component_adjacency` — per-component similar-edge adjacency;
 * :func:`component_index`     — per-component dissimilarity index.
 
-The session prepares csr-backend points through
-:func:`component_arrays` alone; the python backend composes the three
-per-component stages, and stays the set-based reference the batched
-path is tested against.  Dissimilar-edge deletion lives in
+The session prepares every point through :func:`component_arrays`
+alone, whichever engine then searches it.  The per-component stages'
+``"python"`` set forms make up the reference front end
+(:func:`repro.core.naive.reference_components`) the batched path is
+tested against.  Dissimilar-edge deletion lives in
 :class:`~repro.similarity.cache.EdgeSimilarityCache` (per-edge metric
 values computed once, thresholds re-compared).
 
@@ -79,8 +80,8 @@ ENUM_ENGINES: Dict[str, ComponentFn] = {
     "clique": clique_based_component,
 }
 
-#: Survivor sets are plain vertex sets on the python backend and boolean
-#: masks on the csr backend.
+#: Survivor sets are plain vertex sets in the ``"python"`` stage forms and
+#: boolean masks in the ``"csr"`` ones.
 Survivors = Union[Set[int], np.ndarray]
 
 
@@ -213,7 +214,7 @@ def component_arrays(
 ) -> List[ComponentArrays]:
     """Algorithm 1 line 4 plus every component's preparation, batched.
 
-    The csr backend's one preparation pass per ``(k, r)`` point: the
+    The session's one preparation pass per ``(k, r)`` point: the
     survivors are labelled and sorted by component once
     (:func:`~repro.graph.csr.component_order`), one gather over their
     rows yields every component's similar edges and degrees, and one

@@ -1,6 +1,8 @@
 """Differential execution: python engine vs csr engine vs oracle.
 
-Three independent implementations must agree on every case:
+Both engines read the components the session's one front end (its CSR
+pipeline) prepares; ``backend`` picks only the engine.  Three
+independent implementations must agree on every case:
 
 1. the set-based reference engines (``backend="python"``);
 2. the packed-bitset engines (``backend="csr"``) — documented to mirror
@@ -10,6 +12,13 @@ Three independent implementations must agree on every case:
 3. on small instances, the brute-force oracle of
    :mod:`repro.core.naive` (a structurally different algorithm — two
    independently wrong implementations rarely agree).
+
+The front end itself is checked on every case against the reference
+front end :func:`~repro.core.naive.reference_components` (dict-graph
+set stages): the session's prepared components must equal the
+reference's as a multiset of (vertex set, similar edges, dissimilar
+pairs), else the case reports a ``front-end`` disagreement.  The oracle
+searches the reference's components.
 
 A fourth axis rides along: cases sampled with the pool executor
 (``search["executor"] == "process"``) replay the csr run over the
@@ -46,13 +55,19 @@ repro file.
 from __future__ import annotations
 
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import adv_enum_config
 from repro.core.context import Budget
-from repro.core.naive import _is_krcore_vertexset, brute_force_maximal_krcores
+from repro.core.naive import (
+    _is_krcore_vertexset,
+    brute_force_maximal_krcores,
+    reference_components,
+)
 from repro.core.session import KRCoreSession, prepare_components
+from repro.core.solver import component_edges_key
 from repro.core.stats import SearchStats
 from repro.fuzz.space import FuzzCase
 from repro.graph.csr import CSRGraph
@@ -89,7 +104,7 @@ DEFAULT_ORACLE_LIMIT = 12
 class Disagreement:
     """One observed divergence between implementations."""
 
-    kind: str     # backend-result | oracle-* | maintenance-* | csr-drift | ...
+    kind: str     # backend-result | front-end | oracle-* | maintenance-* | ...
     detail: str
 
     def __str__(self) -> str:
@@ -191,19 +206,43 @@ def _seeded_check(
     return None
 
 
-def _oracle_components(case: FuzzCase, limit: int):
-    """Per-component contexts for the oracle, or ``None`` when too big."""
-    contexts = prepare_components(
-        case.graph,
-        case.k,
-        case.predicate(),
-        adv_enum_config(backend="python"),
-        SearchStats(),
-        Budget(None, None),
+def _reference(case: FuzzCase):
+    """The reference front end's contexts for the case."""
+    return reference_components(
+        case.graph, case.k, case.predicate(), adv_enum_config(backend="python")
     )
-    if any(len(ctx.vertices) > limit for ctx in contexts):
+
+
+def _component_multiset(contexts) -> Counter:
+    """Components as a multiset of (vertices, similar edges, dissimilar
+    pairs) — the engines' whole input, independent of order."""
+    return Counter(
+        (ctx.vertices, component_edges_key(ctx.adj), ctx.index.pair_key())
+        for ctx in contexts
+    )
+
+
+def _front_end_check(case: FuzzCase, reference) -> Optional[Disagreement]:
+    """The session's prepared components against the reference's."""
+    contexts = prepare_components(
+        case.graph, case.k, case.predicate(), case.config("csr"),
+        SearchStats(), Budget(None, None),
+    )
+    got, want = _component_multiset(contexts), _component_multiset(reference)
+    if got == want:
         return None
-    return contexts
+    return Disagreement(
+        "front-end",
+        f"session-only components {_fmt_parts(got - want)}; "
+        f"reference-only {_fmt_parts(want - got)}",
+    )
+
+
+def _fmt_parts(parts: Counter) -> str:
+    return str([
+        (sorted(vertices), sorted(edges), sorted(pairs))
+        for vertices, edges, pairs in parts.elements()
+    ])
 
 
 def run_case(
@@ -212,10 +251,12 @@ def run_case(
     """Cross-check one case; the first divergence found wins.
 
     Order of checks: engine crashes, python-vs-csr result equality,
-    python-vs-csr stats parity, the looser-threshold check, the sampled
+    python-vs-csr stats parity, the session's front end against the
+    reference front end, the looser-threshold check, the sampled
     executor replay, then (small instances only) both engines against
-    the brute-force oracle.  Cases carrying an edit
-    stream run the maintained-vs-fresh differential instead.
+    the brute-force oracle over the reference's components.  Cases
+    carrying an edit stream run the maintained-vs-fresh differential
+    instead.
     """
     if case.edits:
         return run_edit_stream_case(case, oracle_limit)
@@ -249,6 +290,17 @@ def run_case(
         out.disagreement = Disagreement(
             "backend-stats", "; ".join(diffs)
         )
+        return out
+
+    try:
+        contexts = _reference(case)
+        out.disagreement = _front_end_check(case, contexts)
+    except Exception:
+        out.disagreement = Disagreement(
+            "engine-error",
+            f"front-end check raised:\n{traceback.format_exc()}",
+        )
+    if out.disagreement is not None:
         return out
 
     out.disagreement = _seeded_check(case, res_cs, stats_cs, out)
@@ -287,15 +339,7 @@ def run_case(
             )
             return out
 
-    try:
-        contexts = _oracle_components(case, oracle_limit)
-    except Exception:
-        out.disagreement = Disagreement(
-            "engine-error",
-            f"oracle preprocessing raised:\n{traceback.format_exc()}",
-        )
-        return out
-    if contexts is None:
+    if any(len(ctx.vertices) > oracle_limit for ctx in contexts):
         return out
     out.oracle_used = True
 

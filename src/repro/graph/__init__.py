@@ -5,7 +5,7 @@ Everything here is implemented from scratch (no external graph library):
 
 * :class:`~repro.graph.attributed_graph.AttributedGraph` — the core store.
 * :mod:`~repro.graph.csr` — the frozen CSR form plus the vectorised
-  array kernels (peeling, components) behind the ``"csr"`` backend.
+  array kernels (peeling, components) behind the session's front end.
 * :mod:`~repro.graph.kcore` — linear k-core peeling and full core
   decomposition (Batagelj & Zaversnik).
 * :mod:`~repro.graph.components` — connected components.

@@ -151,23 +151,21 @@ def anchored_k_core(
 
 
 def incremental_kcore_update(
-    filtered,
+    filtered: CSRGraph,
     k: int,
-    survivors,
+    survivors: np.ndarray,
     added_edges: Iterable[Tuple[int, int]],
     removed_edges: Iterable[Tuple[int, int]],
-    backend: str = "python",
 ) -> Tuple[Set[int], Set[int]]:
     """Exact k-core survivors after an edit, touching only the affected region.
 
-    ``filtered`` is the **post-edit** graph and ``survivors`` the
-    **pre-edit** k-core of it (a vertex set on the python backend, a
-    boolean mask on the csr backend) — ``survivors`` is updated *in
-    place* to the exact k-core of the edited graph, identical to a full
-    re-peel (the k-core is unique, so any correct bounded computation
-    matches it).  ``added_edges`` / ``removed_edges`` are the edges that
-    changed; work is proportional to the cascade/expansion region they
-    trigger, not to the graph.
+    ``filtered`` is the **post-edit** :class:`CSRGraph` and ``survivors``
+    the **pre-edit** k-core of it as a boolean vertex mask — ``survivors``
+    is updated *in place* to the exact k-core of the edited graph,
+    identical to a full re-peel (the k-core is unique, so any correct
+    bounded computation matches it).  ``added_edges`` /
+    ``removed_edges`` are the edges that changed; work is proportional
+    to the cascade/expansion region they trigger, not to the graph.
 
     Two phases, both against the post-edit adjacency:
 
@@ -190,40 +188,12 @@ def incremental_kcore_update(
     """
     if k < 0:
         raise InvalidParameterError(f"k must be >= 0, got {k}")
-    if backend == "csr":
-        mask = survivors
 
-        def in_s(x: int) -> bool:
-            return bool(mask[x])
+    def in_s(x: int) -> bool:
+        return bool(survivors[x])
 
-        def s_discard(x: int) -> None:
-            mask[x] = False
-
-        def s_add(x: int) -> None:
-            mask[x] = True
-
-        def nbrs(x: int):
-            return filtered.neighbors(x).tolist()
-
-        def full_degree(x: int) -> int:
-            return filtered.degree(x)
-    else:
-        sset: Set[int] = survivors
-
-        def in_s(x: int) -> bool:
-            return x in sset
-
-        def s_discard(x: int) -> None:
-            sset.discard(x)
-
-        def s_add(x: int) -> None:
-            sset.add(x)
-
-        def nbrs(x: int):
-            return filtered.neighbors(x)
-
-        def full_degree(x: int) -> int:
-            return len(filtered.neighbors(x))
+    def nbrs(x: int) -> List[int]:
+        return filtered.neighbors(x).tolist()
 
     # Phase 1: deletion cascade inside the old survivor set.
     removed: Set[int] = set()
@@ -239,7 +209,7 @@ def incremental_kcore_update(
             degree[x] = sum(1 for w in nbrs(x) if in_s(w))
         if degree[x] >= k:
             continue
-        s_discard(x)
+        survivors[x] = False
         removed.add(x)
         degree.pop(x, None)
         for w in nbrs(x):
@@ -252,7 +222,7 @@ def incremental_kcore_update(
     region: Set[int] = set()
     stack = [
         x for e in added_edges for x in e
-        if not in_s(x) and full_degree(x) >= k
+        if not in_s(x) and filtered.degree(x) >= k
     ]
     while stack:
         x = stack.pop()
@@ -260,7 +230,7 @@ def incremental_kcore_update(
             continue
         region.add(x)
         for w in nbrs(x):
-            if not in_s(w) and w not in region and full_degree(w) >= k:
+            if not in_s(w) and w not in region and filtered.degree(w) >= k:
                 stack.append(w)
     added: Set[int] = set()
     if region:
@@ -280,8 +250,7 @@ def incremental_kcore_update(
                     rdeg[w] -= 1
                     stack.append(w)
         added = region - dead
-        for x in added:
-            s_add(x)
+        survivors[sorted(added)] = True
     return removed, added
 
 

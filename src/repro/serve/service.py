@@ -22,8 +22,8 @@ path (:mod:`repro.core.maintenance`), and append to the persistent edit
 log under the edited CSR's fingerprint (the store's own hasher,
 :func:`~repro.graph.ingest.csr_fingerprint`) — the stored fingerprint
 advances, so every derived row computed on the pre-edit graph stops
-being served at once.  On the csr backend a daemon never builds a dict
-graph.  :meth:`flush` (and graceful shutdown via :meth:`close`) write-through
+being served at once.  A daemon never builds a dict graph, on either
+search engine.  :meth:`flush` (and graceful shutdown via :meth:`close`) write-through
 the dirty session state.
 """
 

@@ -37,7 +37,9 @@ together with the fingerprint of the graph it was computed on.  Loaders
 only ever return rows whose fingerprint matches the *current* stored
 graph, so an edited or re-saved graph can never serve a stale cache
 entry — the rows simply stop matching and are removed by the next
-:meth:`prune` / save cycle.
+:meth:`prune` / save cycle.  Sessions write edge-metric rows for the
+``csr`` backend only; :meth:`prune` also removes the ``python`` rows
+older releases wrote, which no session reads.
 
 Concurrency
 -----------
@@ -518,17 +520,20 @@ class GraphStore:
             return int(row[0])
 
     def prune(self, name: str) -> int:
-        """Delete stale derived rows (fingerprint mismatch); returns count."""
+        """Delete stale derived rows (fingerprint mismatch, or an
+        edge-metric row of a backend other than ``csr``); returns count."""
         with self._lock, self._conn:
             fp = self.fingerprint(name)
-            removed = 0
-            for table in ("edge_metrics", "results"):
-                cur = self._conn.execute(
-                    f"DELETE FROM {table} WHERE graph = ? AND fingerprint != ?",
-                    (name, fp),
-                )
-                removed += cur.rowcount
-            return removed
+            metrics = self._conn.execute(
+                "DELETE FROM edge_metrics WHERE graph = ? "
+                "AND (fingerprint != ? OR backend != 'csr')",
+                (name, fp),
+            )
+            results = self._conn.execute(
+                "DELETE FROM results WHERE graph = ? AND fingerprint != ?",
+                (name, fp),
+            )
+            return metrics.rowcount + results.rowcount
 
     # ------------------------------------------------------------------
     # Edit log

@@ -6,7 +6,8 @@ The test suite validates the solvers three independent ways:
    components) — production code never imports it;
 2. the bitmask brute-force oracle
    (:func:`repro.core.naive.brute_force_maximal_krcores`) for small
-   random graphs;
+   random graphs, over the dict-stage reference front end
+   (:func:`repro.core.naive.reference_components`);
 3. cross-algorithm agreement: every named algorithm must produce the
    same result set.
 """
@@ -21,7 +22,7 @@ import pytest
 from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.core.config import SearchConfig, adv_enum_config
 from repro.core.context import Budget, ComponentContext
-from repro.core.naive import brute_force_maximal_krcores
+from repro.core.naive import brute_force_maximal_krcores, reference_components
 from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.graph.attributed_graph import AttributedGraph
@@ -72,13 +73,10 @@ def oracle_maximal_cores(
     k: int,
     predicate: SimilarityPredicate,
 ) -> List[List[int]]:
-    """Ground-truth maximal (k,r)-cores via the bitmask brute force."""
-    stats = SearchStats()
-    budget = Budget(None, None)
+    """Ground-truth maximal (k,r)-cores via the bitmask brute force over
+    the reference front end's components."""
     found: List[FrozenSet[int]] = []
-    for ctx in prepare_components(
-        graph, k, predicate, adv_enum_config(), stats, budget
-    ):
+    for ctx in reference_components(graph, k, predicate, adv_enum_config()):
         found.extend(brute_force_maximal_krcores(ctx))
     return sorted(sorted(c) for c in found)
 

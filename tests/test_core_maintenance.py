@@ -19,6 +19,7 @@ from conftest import BACKENDS, as_sorted_sets, make_geo_graph, \
     make_random_attr_graph
 from repro.core.bounds import FAULT_ENV
 from repro.core.session import KRCoreSession
+from repro.exceptions import InvalidParameterError
 from repro.fuzz.differential import (
     PARITY_COUNTERS,
     run_case,
@@ -30,6 +31,7 @@ from repro.graph.components import connected_components, local_components
 from repro.graph.csr import CSRGraph
 from repro.graph.kcore import incremental_kcore_update, k_core_vertices
 from repro.similarity.cache import EdgeSimilarityCache
+from repro.similarity.index import remove_dissimilar_edges
 from repro.similarity.threshold import SimilarityPredicate
 
 
@@ -63,9 +65,9 @@ def assert_matches_fresh(session, k, predicate, backend):
 
 
 class TestIncrementalKCoreUnit:
-    """incremental_kcore_update == full peel, on both substrates."""
+    """incremental_kcore_update on a survivor mask == full peel."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["csr"])
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_full_peel_under_random_edits(self, seed, backend):
         rng = random.Random(seed)
@@ -90,61 +92,38 @@ class TestIncrementalKCoreUnit:
                     adds.append(tuple(sorted((u, v))))
 
         want = k_core_vertices(g1, k)
-        if backend == "csr":
-            filtered = CSRGraph.from_attributed(g1)
-            survivors = np.zeros(n, dtype=bool)
-            survivors[sorted(k_core_vertices(g0, k))] = True
-            gone, came = incremental_kcore_update(
-                filtered, k, survivors, adds, rems, "csr"
-            )
-            got = set(np.nonzero(survivors)[0].tolist())
-        else:
-            survivors = set(k_core_vertices(g0, k))
-            gone, came = incremental_kcore_update(
-                g1, k, survivors, adds, rems, "python"
-            )
-            got = survivors
+        filtered = CSRGraph.from_attributed(g1)
+        survivors = np.zeros(n, dtype=bool)
+        survivors[sorted(k_core_vertices(g0, k))] = True
+        gone, came = incremental_kcore_update(
+            filtered, k, survivors, adds, rems
+        )
+        got = set(np.nonzero(survivors)[0].tolist())
         assert got == want
         # Gross flows cover the net change (they may overlap).
         assert want - set(k_core_vertices(g0, k)) <= came
         assert set(k_core_vertices(g0, k)) - want <= gone
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["csr"])
     def test_boundary_degree_deletion_cascades(self, backend):
         # A 4-cycle is exactly 2-regular: removing any edge must peel
         # the whole cycle, discovered from the deleted endpoints alone.
         g1 = AttributedGraph(4, edges=[(1, 2), (2, 3), (0, 3)])
-        if backend == "csr":
-            filtered = CSRGraph.from_attributed(g1)
-            survivors = np.ones(4, dtype=bool)
-            incremental_kcore_update(
-                filtered, 2, survivors, [], [(0, 1)], "csr"
-            )
-            assert not survivors.any()
-        else:
-            survivors = {0, 1, 2, 3}
-            incremental_kcore_update(g1, 2, survivors, [], [(0, 1)], "python")
-            assert survivors == set()
+        filtered = CSRGraph.from_attributed(g1)
+        survivors = np.ones(4, dtype=bool)
+        incremental_kcore_update(filtered, 2, survivors, [], [(0, 1)])
+        assert not survivors.any()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["csr"])
     def test_insertion_pulls_in_outside_region(self, backend):
         # Path 0-1-2-3 plus the closing edge 0-3: every vertex reaches
         # degree 2 at once, so the whole cycle joins the 2-core even
         # though only the new edge's endpoints were seeded.
         g1 = AttributedGraph(4, edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
-        if backend == "csr":
-            filtered = CSRGraph.from_attributed(g1)
-            survivors = np.zeros(4, dtype=bool)
-            incremental_kcore_update(
-                filtered, 2, survivors, [(0, 3)], [], "csr"
-            )
-            assert set(np.nonzero(survivors)[0].tolist()) == {0, 1, 2, 3}
-        else:
-            survivors = set()
-            incremental_kcore_update(
-                g1, 2, survivors, [(0, 3)], [], "python"
-            )
-            assert survivors == {0, 1, 2, 3}
+        filtered = CSRGraph.from_attributed(g1)
+        survivors = np.zeros(4, dtype=bool)
+        incremental_kcore_update(filtered, 2, survivors, [(0, 3)], [])
+        assert set(np.nonzero(survivors)[0].tolist()) == {0, 1, 2, 3}
 
 
 class TestLocalComponentsUnit:
@@ -167,12 +146,14 @@ class TestLocalComponentsUnit:
 
 
 class TestCacheRefreshUnits:
-    """Refreshed value caches == caches built fresh on the edited graph."""
+    """Refreshed value caches decide like a cache built fresh on the
+    edited graph (``csr``) and like the reference front end's scalar
+    filter of the edited dict graph (``python``)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reference", BACKENDS)
     @pytest.mark.parametrize("metric", ("jaccard", "euclidean"))
     @pytest.mark.parametrize("seed", range(4))
-    def test_edge_cache_refresh(self, seed, backend, metric):
+    def test_edge_cache_refresh(self, seed, reference, metric):
         rng = random.Random(seed)
         if metric == "euclidean":
             g0 = make_geo_graph(seed, n=9)
@@ -181,17 +162,14 @@ class TestCacheRefreshUnits:
             g0 = make_random_attr_graph(seed, n=9)
             rs = (0.25, 0.4, 0.6)
         predicate = SimilarityPredicate(metric, rs[0])
-
-        def substrate(g):
-            return CSRGraph.from_attributed(g) if backend == "csr" else g
-
-        cache = EdgeSimilarityCache(substrate(g0), predicate, backend)
+        substrate = CSRGraph.from_attributed
+        cache = EdgeSimilarityCache(substrate(g0), predicate)
         g1 = g0.copy()
         kind = rng.choice(("add", "remove", "attribute"))
         if kind == "remove" and g1.edge_count:
             pair = rng.choice(sorted(g1.edges()))
             g1.remove_edge(*pair)
-            cache.refresh(substrate(g1), removed_edges=[pair])
+            cache.refresh(substrate(g1))
         elif kind == "add":
             non_edges = [
                 (i, j)
@@ -210,11 +188,31 @@ class TestCacheRefreshUnits:
                 g1.set_attribute(u, frozenset(rng.sample("abcdef", 3)))
             cache.refresh(substrate(g1), dirty_vertex=u)
 
-        fresh = EdgeSimilarityCache(substrate(g1), predicate, backend)
+        fresh = EdgeSimilarityCache(substrate(g1), predicate)
         pairs = sorted(tuple(sorted(e)) for e in g1.edges())
         for r in rs:
-            assert cache.decisions(pairs, r) == fresh.decisions(pairs, r), \
-                (kind, r)
+            if reference == "csr":
+                want = fresh.decisions(pairs, r)
+            else:
+                kept = remove_dissimilar_edges(g1, predicate.with_threshold(r))
+                want = [kept.has_edge(*pair) for pair in pairs]
+            assert cache.decisions(pairs, r) == want, (kind, r)
+
+    def test_only_the_csr_backend_is_accepted(self):
+        g = make_random_attr_graph(0, n=9)
+        predicate = SimilarityPredicate("jaccard", 0.3)
+        for graph in (g, CSRGraph.from_attributed(g)):
+            with pytest.raises(InvalidParameterError):
+                EdgeSimilarityCache(graph, predicate, backend="python")
+        with pytest.raises(InvalidParameterError):
+            EdgeSimilarityCache(g, predicate)
+        edges = sorted(g.edges())
+        with pytest.raises(InvalidParameterError):
+            EdgeSimilarityCache.from_payload(
+                CSRGraph.from_attributed(g), predicate,
+                {"backend": "python", "edges": [list(e) for e in edges],
+                 "values": [0.5] * len(edges)},
+            )
 
 
 class TestSessionMaintenance:

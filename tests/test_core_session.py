@@ -119,7 +119,7 @@ class TestOneShotParity:
         session = KRCoreSession(frozen)
         assert as_sorted_sets(session.enumerate(2, predicate=jaccard_half)) \
             == [[0, 1, 2], [3, 4, 5]]
-        # The thawed copy also serves the python backend.
+        # The python engine reads the same CSR-prepared components.
         assert as_sorted_sets(
             session.enumerate(2, predicate=jaccard_half, backend="python")
         ) == [[0, 1, 2], [3, 4, 5]]
@@ -552,7 +552,7 @@ class TestBatchedPreparation:
     def test_session_order_and_signatures(self, case):
         graph, predicate, k = PREPARATION_CASES[case]
         session = KRCoreSession(graph, backend="csr")
-        parts = session._prepare(k, predicate, "csr", SearchStats())
+        parts = session._prepare(k, predicate, SearchStats())
         csr = freeze_graph(graph)
         filtered = EdgeSimilarityCache(
             csr, predicate, backend="csr"
@@ -581,7 +581,7 @@ class TestLazyComponentForms:
         session.statistics(4, 4.9)
         session.maximum(4, 4.9)
         parts = session._prepare(
-            4, SimilarityPredicate("euclidean", 4.9), "csr", SearchStats()
+            4, SimilarityPredicate("euclidean", 4.9), SearchStats()
         )
         assert len(parts) > 1
         # The bitset engines search from the packed arrays alone.
@@ -859,7 +859,7 @@ class TestThresholdSeeding:
         _, stats = session.enumerate(1, predicate=make(5.0), with_stats=True)
         assert stats.threshold_seeds == 1
         seeded = session._filtered[
-            ((make(5.0).metric, MetricKind.DISTANCE), 5.0, "csr")
+            ((make(5.0).metric, MetricKind.DISTANCE), 5.0)
         ]
         full = EdgeSimilarityCache(
             freeze_graph(graph), make(5.0), backend="csr"
@@ -876,7 +876,7 @@ class TestThresholdSeeding:
         # has no seed at k' <= 2, so it takes the full filter.
         _, stats = session.enumerate(2, predicate=make(12.0), with_stats=True)
         assert (stats.threshold_seeds, stats.reused_filters) == (0, 0)
-        fkey = ((make(12.0).metric, MetricKind.DISTANCE), 12.0, "csr")
+        fkey = ((make(12.0).metric, MetricKind.DISTANCE), 12.0)
         assert fkey not in session._seeded_filters
         _assert_fresh_point(session, graph, 2, make(12.0))
         _, stats = session.enumerate(4, predicate=make(12.0), with_stats=True)
@@ -888,7 +888,7 @@ class TestThresholdSeeding:
         session.enumerate(2, predicate=make(30.0))
         session.enumerate(4, predicate=make(30.0))
         session.enumerate(4, predicate=make(12.0))
-        fkey = ((make(12.0).metric, MetricKind.DISTANCE), 12.0, "csr")
+        fkey = ((make(12.0).metric, MetricKind.DISTANCE), 12.0)
         assert session._seeded_filters[fkey] == 4  # smallest core: k' = 4
         _, stats = session.enumerate(2, predicate=make(12.0), with_stats=True)
         assert stats.threshold_seeds == 1
@@ -928,15 +928,30 @@ class TestThresholdSeeding:
         assert session.maintenance_stats.errors == 0
         assert session.maintenance_stats.maintained == len(edits)
 
-    def test_python_backend_filters_the_whole_graph(self):
+    def test_python_engine_shares_the_csr_front_end(self):
         graph, make, rs = SEEDING_CASES["jaccard"]
-        session = KRCoreSession(graph, backend="python")
+        session = KRCoreSession(freeze_graph(graph))
         reference = KRCoreSession(graph, backend="csr")
+        session.statistics(2, predicate=make(rs[0]))
+        _, stats = session.statistics(
+            2, predicate=make(rs[0]), backend="python", with_stats=True
+        )
+        assert stats.reused_preprocess == 1 and stats.cache_misses > 0
+        for r in rs[1:]:
+            _, stats = session.statistics(
+                2, predicate=make(r), backend="python", with_stats=True
+            )
+            assert stats.threshold_seeds == 1
+            assert session.statistics(2, predicate=make(r), backend="python") \
+                == reference.statistics(2, predicate=make(r))
+        u, v = next(iter(graph.edges()))
+        assert session.edit(remove_edges=[(u, v)], attributes={u: frozenset()})
+        reference.edit(remove_edges=[(u, v)], attributes={u: frozenset()})
         for r in rs:
-            got = session.statistics(2, predicate=make(r))
-            assert got == reference.statistics(2, predicate=make(r))
-        assert session.cache_stats()["reused"]["threshold_seeds"] == 0
-        assert session.cache_stats()["reused"]["seeded_peels"] == len(rs) - 1
+            assert session.statistics(2, predicate=make(r), backend="python") \
+                == reference.statistics(2, predicate=make(r))
+        assert session.maintenance_stats.maintained == 2
+        assert session._graph is None
 
     def test_sweep_computes_loosest_first(self):
         graph, make, rs = SEEDING_CASES["euclidean"]
@@ -1031,7 +1046,7 @@ class TestKValidation:
         assert session.statistics(k, 0.3) == want
         _, stats = session.statistics(3, 0.3, with_stats=True)
         assert stats.reused_preprocess == 1 and stats.cache_misses == 0
-        assert all(type(key[3]) is int for key in session._prepared)
+        assert all(type(key[2]) is int for key in session._prepared)
         cores = session.enumerate(k, 0.3)
         assert all(type(core.k) is int for core in cores)
         rows = session.sweep([k], [0.3])

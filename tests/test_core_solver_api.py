@@ -9,6 +9,7 @@ from repro.core.api import (
     krcore_statistics,
 )
 from repro.core.config import adv_enum_config, adv_max_config
+from repro.core.naive import reference_components
 from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.core.context import Budget
@@ -56,25 +57,29 @@ class TestPrepareComponents:
         ) == []
 
     def test_backends_prepare_the_same_components(self):
+        # The session's front end against the dict-stage reference.
         g = make_random_attr_graph(17, n=12, p=0.6)
         pred = SimilarityPredicate("jaccard", 0.3)
-        by_backend = {}
-        for backend in ("python", "csr"):
-            ctxs = prepare_components(
-                g, 2, pred, adv_enum_config(backend=backend),
-                SearchStats(), Budget(None, None),
-            )
-            by_backend[backend] = sorted(
+        by_front_end = {}
+        for name, ctxs in (
+            ("session", prepare_components(
+                g, 2, pred, adv_enum_config(), SearchStats(),
+                Budget(None, None),
+            )),
+            ("reference", reference_components(g, 2, pred, adv_enum_config())),
+        ):
+            by_front_end[name] = sorted(
                 (sorted(ctx.vertices), sorted(
                     (u, sorted(nbrs)) for u, nbrs in ctx.adj.items()
-                ))
+                ), sorted(ctx.index.pair_key()))
                 for ctx in ctxs
             )
-        assert by_backend["python"] == by_backend["csr"]
-        assert by_backend["csr"]  # non-trivial fixture
+        assert by_front_end["session"] == by_front_end["reference"]
+        assert by_front_end["session"]  # non-trivial fixture
 
     @pytest.mark.parametrize("backend", ("python", "csr"))
     def test_components_ordered_by_max_degree(self, backend):
+        # "python": the reference front end; "csr": the session's.
         # A dense 5-block and a triangle, attribute-identical: the dense
         # block must come first (the Section 6.1 seeding rule).
         g = AttributedGraph(8)
@@ -86,10 +91,13 @@ class TestPrepareComponents:
         for u in g.vertices():
             g.set_attribute(u, frozenset({"s"}))
         pred = SimilarityPredicate("jaccard", 0.1)
-        ctxs = prepare_components(
-            g, 2, pred, adv_enum_config(backend=backend),
-            SearchStats(), Budget(None, None),
-        )
+        if backend == "python":
+            ctxs = reference_components(g, 2, pred, adv_enum_config())
+        else:
+            ctxs = prepare_components(
+                g, 2, pred, adv_enum_config(), SearchStats(),
+                Budget(None, None),
+            )
         degrees = [
             max(len(nbrs) for nbrs in ctx.adj.values()) for ctx in ctxs
         ]

@@ -7,7 +7,9 @@ import os
 
 import pytest
 
+from repro.core import session as session_module
 from repro.core.bounds import FAULT_ENV
+from repro.core.context import ComponentArrays
 from repro.fuzz.differential import PARITY_COUNTERS, run_case
 from repro.fuzz.repro_io import case_from_dict, case_to_dict, load_repro, save_repro
 from repro.fuzz.shrink import shrink_case
@@ -69,6 +71,40 @@ class TestDifferential:
         stats = SearchStats()
         for name in PARITY_COUNTERS:
             assert hasattr(stats, name)
+
+    def test_front_end_fault_is_reported(self, monkeypatch):
+        # A 5-clique minus (0, 4): every edge is similar at r = 0.5, and
+        # 0, 4 are a dissimilar pair inside the one 2-core component.
+        g = AttributedGraph(5)
+        for u in range(5):
+            for v in range(u + 1, 5):
+                if (u, v) != (0, 4):
+                    g.add_edge(u, v)
+            g.set_attribute(u, frozenset({"a", "b"}))
+        g.set_attribute(0, frozenset({"a"}))
+        g.set_attribute(4, frozenset({"b"}))
+        case = FuzzCase(graph=g, k=2, metric="jaccard", r=0.5,
+                        mode="enumerate")
+        assert run_case(case).ok
+
+        real = session_module.component_arrays
+
+        def drop_one_pair(*args):
+            parts = real(*args)
+            for i, a in enumerate(parts):
+                if a.pair_i.size:
+                    parts[i] = ComponentArrays(
+                        a.verts, a.src, a.dst, a.pair_i[1:], a.pair_j[1:],
+                        a.edges_key, a.max_degree,
+                    )
+                    break
+            return parts
+
+        monkeypatch.setattr(session_module, "component_arrays", drop_one_pair)
+        result = run_case(case)
+        assert result.disagreement is not None
+        assert result.disagreement.kind == "front-end"
+        assert "(0, 4)" in result.disagreement.detail
 
     def test_engine_error_is_reported_not_raised(self):
         # k=0 is rejected by the solver; the harness must fold the raise

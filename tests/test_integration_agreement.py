@@ -16,6 +16,12 @@ from conftest import (
     oracle_maximal_cores,
 )
 from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
+from repro.core.config import adv_enum_config
+from repro.core.context import Budget
+from repro.core.naive import reference_components
+from repro.core.session import prepare_components
+from repro.core.solver import component_edges_key
+from repro.core.stats import SearchStats
 from repro.similarity.threshold import SimilarityPredicate
 
 ENUM_ALGORITHMS = (
@@ -85,15 +91,36 @@ class TestGeoGraphs:
             assert (best.size if best else 0) == want, (alg, seed, backend)
 
 
+def _prepared(contexts):
+    """Canonical text of prepared components, in their order: vertices,
+    similar edges and dissimilar pairs of each."""
+    return repr([
+        (sorted(ctx.vertices), sorted(component_edges_key(ctx.adj)),
+         sorted(ctx.index.pair_key()))
+        for ctx in contexts
+    ])
+
+
+def _assert_front_ends_identical(g, k, pred):
+    session = prepare_components(
+        g, k, pred, adv_enum_config(), SearchStats(), Budget(None, None)
+    )
+    reference = reference_components(g, k, pred, adv_enum_config())
+    assert _prepared(session) == _prepared(reference)
+
+
 class TestBackendIdentity:
-    """The two preprocessing backends must agree *exactly* — same cores,
-    same canonical serialisation — on every agreement fixture."""
+    """The session's front end must prepare *exactly* the reference
+    front end's components (same order, edges and dissimilar pairs), and
+    the two engines must emit byte-identical outputs from them, on every
+    agreement fixture."""
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_keyword_outputs_byte_identical(self, seed, k):
         g = make_random_attr_graph(seed, n=10)
         pred = SimilarityPredicate("jaccard", 0.35)
+        _assert_front_ends_identical(g, k, pred)
         py = enumerate_maximal_krcores(g, k, predicate=pred, backend="python")
         cs = enumerate_maximal_krcores(g, k, predicate=pred, backend="csr")
         assert repr(as_sorted_sets(py)) == repr(as_sorted_sets(cs))
@@ -102,6 +129,7 @@ class TestBackendIdentity:
     def test_geo_outputs_byte_identical(self, seed):
         g = make_geo_graph(seed, n=12, p=0.45)
         pred = SimilarityPredicate("euclidean", 15.0)
+        _assert_front_ends_identical(g, 2, pred)
         py = enumerate_maximal_krcores(g, 2, predicate=pred, backend="python")
         cs = enumerate_maximal_krcores(g, 2, predicate=pred, backend="csr")
         assert repr(as_sorted_sets(py)) == repr(as_sorted_sets(cs))

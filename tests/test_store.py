@@ -14,6 +14,7 @@ from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.ingest import csr_fingerprint
 from repro.graph.io import graph_fingerprint
+from repro.similarity.threshold import SimilarityPredicate
 from repro.similarity.metrics import _METRIC_NAMES
 from repro.store import SCHEMA_VERSION, GraphStore, codec
 from repro.store.store import _pack_arrays, _unpack_arrays
@@ -417,6 +418,42 @@ class TestSessionPersistence:
             warm = KRCoreSession.load(store, "g", backend="csr")
             entries = warm.cache_stats()["edge_values"]["entries"]
             assert entries == ["jaccard/csr"]
+
+    def test_python_edge_metric_row_of_an_older_release_is_skipped(self, db):
+        g = make_random_attr_graph(8, n=10)
+        predicate = SimilarityPredicate("jaccard", 0.3)
+        edges = sorted(g.edges())
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", g)
+            # The edge-list payload older releases wrote for the python
+            # backend: one value per edge, None where an attribute is
+            # missing.
+            store.save_edge_metric("g", "jaccard", "python", {
+                "backend": "python",
+                "edges": [[u, v] for u, v in edges],
+                "values": [
+                    predicate.value(g.attribute(u), g.attribute(v))
+                    if g.has_attribute(u) and g.has_attribute(v) else None
+                    for u, v in edges
+                ],
+            }, fp)
+            assert [(m, b) for m, b, _ in store.load_edge_metrics("g")] == \
+                [("jaccard", "python")]
+        with GraphStore(db) as store:
+            warm = KRCoreSession.load(store, "g", backend="python")
+            assert warm.cache_stats()["edge_values"]["size"] == 0
+            cold = KRCoreSession(g, backend="python")
+            for k, r in GRID:
+                got, stats = warm.enumerate(k, r, with_stats=True)
+                want, want_stats = cold.enumerate(k, r, with_stats=True)
+                assert as_sorted_sets(got) == as_sorted_sets(want)
+                stats.elapsed = want_stats.elapsed
+                assert stats.to_dict() == want_stats.to_dict()
+            assert warm.cache_stats()["edge_values"]["entries"] == \
+                ["jaccard/csr"]
+            warm.save(store, "g")
+            assert [(m, b) for m, b, _ in store.load_edge_metrics("g")] == \
+                [("jaccard", "csr")]
 
 
 class TestCacheStats:
