@@ -6,17 +6,22 @@ parameters, never of the interpreter's hash randomisation (the bug this
 guards against was a set iteration inside the DBLP attribute generator
 that consumed the rng in hash order).
 
-Each line carries two digests of the same graph: ``graph_fingerprint``
-of the dict graph and the array ``csr_fingerprint`` of its CSR form
-(what the store checks every load with).  They must be equal; any
-mismatch is reported on stderr and the script exits 1.
+The digests are fingerprint v2 (:mod:`repro.graph.fingerprint`): a
+SHA-256 over per-bucket SHA-256 digests of binary edge and attribute
+records — what the store checks every load with and the daemon returns
+after every edit.  Each line carries two of them for the same graph:
+``graph_fingerprint`` of the dict graph (its ``CSRGraph.from_attributed``
+freeze, which sorts every adjacency set) and ``csr_fingerprint`` of a
+CSR built from its edge array with ``CSRGraph.from_edges`` (the packed
+key sort that ingest and the store's graphs go through).  They must be
+equal; any mismatch is reported on stderr and the script exits 1.
 
 Every graph is also written to a temporary directory with
 ``write_edge_list`` / ``write_attributes`` and read back with the
 streaming ``ingest_attributed_graph``: every edge file and the point
 files take the ingester's block path, set and counter files its line
-parser.  A round trip whose ``csr_fingerprint`` differs is reported on
-stderr and exits 1 too; stdout does not change.
+parser.  A round trip whose fingerprint differs is reported on stderr
+and exits 1 too; stdout does not change.
 
 Coverage: the four Table 3 registry analogs *and* every adversarial
 family of :mod:`repro.datasets.adversarial` — once at the family's
@@ -36,10 +41,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.datasets.adversarial import FAMILIES, sample_instance
 from repro.datasets.registry import DATASETS, load_dataset
 from repro.graph.csr import CSRGraph
-from repro.graph.ingest import csr_fingerprint, ingest_attributed_graph
+from repro.graph.fingerprint import csr_fingerprint
+from repro.graph.ingest import ingest_attributed_graph
 from repro.graph.io import graph_fingerprint, write_attributes, write_edge_list
 
 
@@ -64,11 +72,20 @@ def round_trip_fingerprint(g):
         return csr_fingerprint(ingest_attributed_graph(edges, attrs, kind))
 
 
+def edge_array_csr(g):
+    """``g`` rebuilt as CSR from its edge array, not its adjacency sets."""
+    edges = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+    attributes = {u: g.attribute(u) for u in g.vertices() if g.has_attribute(u)}
+    return CSRGraph.from_edges(
+        g.vertex_count, edges[:, 0], edges[:, 1], attributes
+    )
+
+
 def fingerprints(g, mismatches, round_trips, label):
     """``"<dict digest> <array digest>"``; records a disagreement of
     either digest, or of the ingested round trip, with the dict one."""
     dict_fp = graph_fingerprint(g)
-    array_fp = csr_fingerprint(CSRGraph.from_attributed(g))
+    array_fp = csr_fingerprint(edge_array_csr(g))
     if array_fp != dict_fp:
         mismatches.append(label)
     if round_trip_fingerprint(g) != dict_fp:

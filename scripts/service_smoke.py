@@ -2,7 +2,9 @@
 
 Stores an adversarial ring-of-cliques graph, starts the JSON daemon,
 drives every endpoint over real HTTP, and checks each response against a
-direct in-process session on the identical graph.  A keep-alive pass then
+direct in-process session on the identical graph.  An edge removal and
+its inverse must bring the fingerprint the daemon returns back to the
+one ``GET /graphs`` listed before them.  A keep-alive pass then
 drives every read endpoint over one persistent connection and checks the
 answers equal the one-connection-per-request ones, including a request
 that follows a 404 whose body the route never needed.  Then it shuts the
@@ -270,6 +272,33 @@ def main() -> int:
         check(
             status == 200 and len(out["edits"]) == 1,
             "edit log persisted",
+        )
+
+        # an edit and its inverse: the fingerprint the daemon carries
+        # through both must come back to the stored pre-edit one
+        status, out = request(base, "GET", "/graphs")
+        before = next(
+            row["fingerprint"] for row in out["graphs"]
+            if row["name"] == "adversarial"
+        )
+        u, v = next(iter(graph.edges()))
+        status, removed = request(
+            base, "POST", "/graphs/adversarial/edit",
+            {"remove_edges": [[u, v]]},
+        )
+        check(
+            status == 200 and removed["changed"]
+            and removed["fingerprint"] != before,
+            "edge removal moves the fingerprint",
+        )
+        status, restored = request(
+            base, "POST", "/graphs/adversarial/edit",
+            {"add_edges": [[u, v]]},
+        )
+        check(
+            status == 200 and restored["changed"]
+            and restored["fingerprint"] == before,
+            "edit then inverse restores the pre-edit fingerprint",
         )
 
         print("keep-alive pass: every read endpoint over one connection")

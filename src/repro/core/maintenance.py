@@ -144,9 +144,7 @@ def _drop_threshold_seeded(session, ms: MaintenanceStats) -> None:
             key for key in session._results
             if key[0] == "max" and key[-1] in family_sigs
         ]
-        for key in stale_keys:
-            session._results.pop(key)
-        ms.results_evicted += len(stale_keys)
+        ms.results_evicted += session._evict_results(stale_keys)
 
 
 def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats) -> bool:
@@ -311,9 +309,7 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
                 if key[-1] in dead_sigs
                 or (key[0] == "max" and key[-1] in family_sigs)
             ]
-            for key in stale_keys:
-                session._results.pop(key)
-            ms.results_evicted += len(stale_keys)
+            ms.results_evicted += session._evict_results(stale_keys)
         if len(new_parts) < len(affected):
             ms.components_merged += len(affected) - len(new_parts)
         elif len(new_parts) > len(affected):

@@ -1350,6 +1350,15 @@ class KRCoreSession:
             self._results[key] = found  # reinsert last = most recently used
         return found
 
+    def _evict_results(self, keys: List[Tuple]) -> int:
+        """Drop ``keys`` from the result cache and from the unsaved set,
+        whose keys hold component signatures that a long-lived session
+        must not keep alive; returns how many."""
+        for key in keys:
+            self._results.pop(key)
+            self._unsaved_results.discard(key)
+        return len(keys)
+
     def _result_put(self, key: Tuple, value, *, saved: bool = False) -> None:
         self._results.pop(key, None)
         self._results[key] = value

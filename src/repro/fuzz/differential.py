@@ -35,7 +35,8 @@ on the final graph — result for result, and (after
 :meth:`~repro.core.session.KRCoreSession.drop_results`, which forces a
 full re-search over the *maintained preprocessing*) search counter for
 search counter.  The maintained session's CSR, which its edits patch,
-must also equal a freeze of its own dict graph.  See
+must also equal a freeze of its own dict graph, and the fingerprint
+the CSR carried through the edits must equal that freeze's.  See
 :func:`run_edit_stream_case`.
 
 Both runners also check the session's threshold-seeded front end: a csr
@@ -71,6 +72,7 @@ from repro.core.solver import component_edges_key
 from repro.core.stats import SearchStats
 from repro.fuzz.space import FuzzCase
 from repro.graph.csr import CSRGraph
+from repro.graph.fingerprint import csr_fingerprint
 from repro.similarity.metrics import MetricKind
 from repro.similarity.threshold import SimilarityPredicate
 
@@ -417,6 +419,17 @@ def _csr_drift(session: KRCoreSession) -> Optional[str]:
     return None if got == want else f"csr {got} != frozen {want}"
 
 
+def _fingerprint_drift(session: KRCoreSession) -> Optional[str]:
+    """The fingerprint the session's CSR carried through its edits
+    against a from-scratch one of a freeze of its dict graph, or
+    ``None`` when they are equal."""
+    carried = csr_fingerprint(session.csr)
+    scratch = csr_fingerprint(CSRGraph.from_attributed(session.graph))
+    return None if carried == scratch else (
+        f"carried {carried[:16]}… != from scratch {scratch[:16]}…"
+    )
+
+
 def run_edit_stream_case(
     case: FuzzCase, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CaseResult:
@@ -430,7 +443,9 @@ def run_edit_stream_case(
     2. the maintained session's CSR (patched by every edit) must equal
        a freeze of its dict graph (``csr-drift``) — the fresh session is
        built from that dict graph, so a drifted CSR would go unseen by
-       the result checks;
+       the result checks — and the fingerprint its CSR carried through
+       the edits (taken once before the first) must equal a from-scratch
+       fingerprint of that freeze (``fingerprint-drift``);
     3. the maintenance layer must not have swallowed an internal error
        (``maintenance_stats.errors`` stays zero — errors fall back to
        recompute, which keeps results right but hides the bug);
@@ -454,6 +469,7 @@ def run_edit_stream_case(
         try:
             maintained = KRCoreSession(case.graph, config=cfg, copy=True)
             _query_session(case, maintained)  # warm every cache layer
+            csr_fingerprint(maintained.csr)  # the edits carry it from here
             for edit in case.edits:
                 _apply_edit(maintained, edit)
             res_m, _ = _query_session(case, maintained)
@@ -471,6 +487,13 @@ def run_edit_stream_case(
         if drift is not None:
             out.disagreement = Disagreement(
                 "csr-drift", f"{backend}: {drift} after edits {case.edits}"
+            )
+            return out
+        drift = _fingerprint_drift(maintained)
+        if drift is not None:
+            out.disagreement = Disagreement(
+                "fingerprint-drift",
+                f"{backend}: {drift} after edits {case.edits}",
             )
             return out
         if res_m != res_f:

@@ -14,6 +14,8 @@ Everything here is implemented from scratch (no external graph library):
 * :mod:`~repro.graph.coloring` — greedy colouring (substrate for the colour
   upper bound of Section 6.2).
 * :mod:`~repro.graph.io` — plain-text edge-list / attribute readers.
+* :mod:`~repro.graph.fingerprint` — the content fingerprint the store
+  and the daemon key graphs by.
 """
 
 from repro.graph.attributed_graph import AttributedGraph
@@ -40,9 +42,9 @@ from repro.graph.kcore import (
     max_core_number,
     anchored_k_core,
 )
+from repro.graph.fingerprint import csr_fingerprint
 from repro.graph.ingest import (
     IngestStats,
-    csr_fingerprint,
     ingest_attributed_graph,
     ingest_edge_list,
 )

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.fingerprint import Digests, graph_digests, rehash_bucket
 
 
 class CSRGraph:
@@ -60,10 +61,15 @@ class CSRGraph:
     graph object.  The constructor copies the attribute dict and label
     list it is given; graphs derived from this one (:meth:`filter_edges`,
     :func:`with_edge_added`, :func:`with_edge_removed`) share them by
-    reference, since nothing mutates them in place.
+    reference, since nothing mutates them in place.  The fingerprint's
+    bucket digests (:meth:`bucket_digests`) are kept once built and
+    carried through the single-step edits.
     """
 
-    __slots__ = ("indptr", "indices", "_attributes", "_labels", "_geo", "_edge_ids")
+    __slots__ = (
+        "indptr", "indices", "_attributes", "_labels", "_geo", "_edge_ids",
+        "_digests",
+    )
 
     def __init__(
         self,
@@ -85,6 +91,7 @@ class CSRGraph:
         self._labels: Optional[List[str]] = list(labels) if labels else None
         self._geo: Optional[np.ndarray] = None
         self._edge_ids: Optional[np.ndarray] = None
+        self._digests: Optional[Digests] = None
 
     def _derive(self, indptr: np.ndarray, indices: np.ndarray) -> "CSRGraph":
         """Graph over new int64 structure arrays that shares this graph's
@@ -96,6 +103,7 @@ class CSRGraph:
         out._labels = self._labels
         out._geo = None
         out._edge_ids = None
+        out._digests = None
         return out
 
     def validate(self) -> None:
@@ -287,6 +295,19 @@ class CSRGraph:
             self._geo = pts
         return self._geo
 
+    def bucket_digests(self) -> Digests:
+        """The fingerprint's bucket digests
+        (:mod:`repro.graph.fingerprint`), built on first use and kept.
+
+        The edits below carry them to the graph they return, re-hashing
+        the one bucket they touch; :meth:`filter_edges` and
+        :meth:`filter_induced` do not, so a derived graph builds its own
+        if it is ever asked.
+        """
+        if self._digests is None:
+            self._digests = graph_digests(self)
+        return self._digests
+
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -436,7 +457,7 @@ def with_edge_added(csr: CSRGraph, u: int, v: int) -> CSRGraph:
     indptr = csr.indptr.copy()
     indptr[u + 1:] += 1
     indptr[v + 1:] += 1
-    return csr._derive(indptr, indices)
+    return _rehashed(csr, csr._derive(indptr, indices), min(u, v))
 
 
 def with_edge_removed(csr: CSRGraph, u: int, v: int) -> CSRGraph:
@@ -449,7 +470,7 @@ def with_edge_removed(csr: CSRGraph, u: int, v: int) -> CSRGraph:
     indptr = csr.indptr.copy()
     indptr[u + 1:] -= 1
     indptr[v + 1:] -= 1
-    return csr._derive(indptr, indices)
+    return _rehashed(csr, csr._derive(indptr, indices), min(u, v))
 
 
 def with_attribute(csr: CSRGraph, u: int, value: Any) -> CSRGraph:
@@ -464,6 +485,15 @@ def with_attribute(csr: CSRGraph, u: int, value: Any) -> CSRGraph:
     out._attributes = dict(csr._attributes)
     out._attributes[u] = value
     out._edge_ids = csr._edge_ids
+    return _rehashed(csr, out, u)
+
+
+def _rehashed(csr: CSRGraph, out: CSRGraph, u: int) -> CSRGraph:
+    """``out`` — ``csr`` edited at vertex ``u`` (an edge's lower end) —
+    with ``csr``'s bucket digests carried over and ``u``'s bucket
+    re-hashed, when ``csr`` has them."""
+    if csr._digests is not None:
+        out._digests = rehash_bucket(out, csr._digests, u)
     return out
 
 

@@ -636,74 +636,10 @@ def ingest_attributed_graph(
     return graph
 
 
-def _digit_table(n: int) -> np.ndarray:
-    """Row ``u`` holds the decimal digits of ``u`` in ASCII, right-aligned
-    in a fixed width and padded on the left with zero bytes."""
-    width = len(str(max(n - 1, 0)))
-    ids = np.arange(n, dtype=np.int64)
-    table = np.empty((n, width), dtype=np.uint8)
-    rest = ids.copy()
-    for j in range(width - 1, -1, -1):
-        table[:, j] = rest % 10 + ord("0")
-        rest //= 10
-    for j in range(width - 1):
-        table[ids < 10 ** (width - 1 - j), j] = 0  # a leading zero
-    return table
-
-
-def _edge_records(eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """The ``"e u v\\n"`` records of :func:`~repro.graph.io.graph_fingerprint`
-    for edge arrays ``(eu, ev)`` with ``eu < ev``, as one uint8 buffer in
-    array order.
-
-    Every record is laid out at a fixed width — ``e``, space, ``u``'s
-    padded digits, space, ``v``'s padded digits, newline — and the pad
-    bytes are squeezed out in one pass, which keeps records and their
-    characters in order.
-    """
-    digits = _digit_table(int(ev.max()) + 1 if ev.size else 0)
-    width = digits.shape[1]
-    rows = np.empty((eu.size, 2 * width + 4), dtype=np.uint8)
-    rows[:, 0] = ord("e")
-    rows[:, 1] = ord(" ")
-    rows[:, 2:2 + width] = digits[eu]
-    rows[:, 2 + width] = ord(" ")
-    rows[:, 3 + width:3 + 2 * width] = digits[ev]
-    rows[:, -1] = ord("\n")
-    return rows[rows != 0]
-
-
-def csr_fingerprint(graph: CSRGraph) -> str:
-    """:func:`repro.graph.io.graph_fingerprint` of a CSR graph, computed
-    from the arrays — byte-identical to fingerprinting the equivalent
-    :class:`AttributedGraph`, without materialising it.
-
-    The edge records are written as one byte buffer by
-    :func:`_edge_records` (:meth:`CSRGraph.edge_array` already yields
-    edges in the sorted ``(u, v)`` order the records need); only the
-    attribute records are formatted per vertex, a plain tuple (a geo
-    point) inline — the record :func:`_canonical_attribute` writes for
-    it, without the call.
-    """
-    import hashlib
-
-    from repro.graph.io import _canonical_attribute as canon
-
-    h = hashlib.sha256()
-    h.update(_edge_records(*graph.edge_array()))
-    h.update("".join(
-        f"a {u} v:{value!r}\n" if type(value) is tuple
-        else f"a {u} {canon(value)}\n"
-        for u, value in sorted(graph._attributes.items())
-    ).encode())
-    return h.hexdigest()
-
-
 __all__ = [
     "DEFAULT_CHUNK_LINES",
     "EDGE_POLICIES",
     "IngestStats",
-    "csr_fingerprint",
     "ingest_attributed_graph",
     "ingest_attributes",
     "ingest_edge_list",

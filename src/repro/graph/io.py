@@ -22,13 +22,14 @@ its line, the error :mod:`repro.graph.ingest` raises for it.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.exceptions import GraphError, IngestError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builder import GraphBuilder
+from repro.graph.csr import CSRGraph
+from repro.graph.fingerprint import csr_fingerprint
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -288,38 +289,15 @@ def read_attributed_graph(
 
 
 def graph_fingerprint(graph: AttributedGraph) -> str:
-    """SHA-256 over a canonical serialisation of edges + attributes.
+    """Fingerprint v2 of a dict graph: :func:`~repro.graph.fingerprint.csr_fingerprint`
+    of its CSR freeze, so both forms of one graph share one digest.
 
-    The serialisation sorts everything (edges, vertices, set members,
-    dict keys), so the fingerprint is a pure function of the graph's
-    content — independent of adjacency-set iteration order and of
-    ``PYTHONHASHSEED``.  The dataset-determinism CI job diffs these
-    across hash seeds for every registry dataset and adversarial family;
-    tests use it for seed-stability assertions.
+    A pure function of the edges and attributes (see
+    :mod:`repro.graph.fingerprint`), independent of adjacency-set
+    iteration order and of ``PYTHONHASHSEED``.  The freeze walks every
+    adjacency set, so a caller holding the CSR form should hash that.
     """
-    h = hashlib.sha256()
-    for u, v in sorted(tuple(sorted(e)) for e in graph.edges()):
-        h.update(f"e {u} {v}\n".encode())
-    for u in sorted(graph.vertices()):
-        if not graph.has_attribute(u):
-            continue
-        canon = _canonical_attribute(graph.attribute(u))
-        h.update(f"a {u} {canon}\n".encode())
-    return h.hexdigest()
-
-
-def _canonical_attribute(attr: Any) -> str:
-    """Order-independent serialisation of one attribute value.
-
-    Shared by :func:`graph_fingerprint` and the CSR-native
-    :func:`repro.graph.ingest.csr_fingerprint` so both produce identical
-    digests for identical content.
-    """
-    if isinstance(attr, (frozenset, set)):
-        return "s:" + ",".join(sorted(map(str, attr)))
-    if isinstance(attr, dict):
-        return "d:" + ",".join(f"{key}={attr[key]!r}" for key in sorted(attr))
-    return f"v:{attr!r}"
+    return csr_fingerprint(CSRGraph.from_attributed(graph))
 
 
 def write_edge_list(graph: AttributedGraph, target: PathOrFile) -> None:

@@ -19,12 +19,14 @@ computation's start (requests are linearised at computation start).
 
 Edits patch the session's CSR graph, apply its incremental maintenance
 path (:mod:`repro.core.maintenance`), and append to the persistent edit
-log under the edited CSR's fingerprint (the store's own hasher,
-:func:`~repro.graph.ingest.csr_fingerprint`) — the stored fingerprint
+log under the edited CSR's fingerprint — the stored fingerprint
 advances, so every derived row computed on the pre-edit graph stops
-being served at once.  A daemon never builds a dict graph, on either
-search engine.  :meth:`flush` (and graceful shutdown via :meth:`close`) write-through
-the dirty session state.
+being served at once.  The session's CSR came from the store's load with
+its fingerprint's bucket digests (:mod:`repro.graph.fingerprint`) and
+each edit re-hashes only the bucket it touches, so an edit's fingerprint
+costs a bucket, not a pass over the graph.  A daemon never builds a dict
+graph, on either search engine.  :meth:`flush` (and graceful shutdown
+via :meth:`close`) write-through the dirty session state.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.exceptions import (
     ServiceError,
     StoreError,
 )
-from repro.graph.ingest import csr_fingerprint
+from repro.graph.fingerprint import csr_fingerprint
 from repro.store import GraphStore, codec
 
 #: Read operations eligible for request coalescing.

@@ -15,20 +15,28 @@ ids plus ``(x, y)``) when every attribute is a 2-d point and otherwise
 as an encoded column (:func:`~repro.store.codec.encode_attribute` per
 vertex); the labels, only when they differ from the defaults; ``n``,
 ``m``, and ``snapshot_seq``, the last edit-log entry it includes.  The
-row also carries the graph's *current* fingerprint.
+row also carries the graph's *current* fingerprint: fingerprint v2
+(:mod:`repro.graph.fingerprint`), a SHA-256 over per-bucket SHA-256
+digests of binary edge and attribute records.
 
+:meth:`GraphStore.save_graph` hashes the snapshot columns it encodes: the
+float64 point column as written, or the decoded values of an encoded
+column, so the fingerprint is that of the graph a load returns.
 :meth:`GraphStore.record_edit` only appends an edit's payload to the log
-and advances that fingerprint.  :meth:`GraphStore.load_graph` decodes
-the snapshot, checks its arrays are a canonical CSR, replays the log
-entries past ``snapshot_seq`` onto it
+and advances that fingerprint; callers pass the edited graph's
+fingerprint, which a :class:`~repro.graph.csr.CSRGraph` carries through
+its edits at the cost of the one bucket each touches.
+:meth:`GraphStore.load_graph` decodes the snapshot, checks its arrays
+are a canonical CSR, hashes every bucket from the columns, replays the
+log entries past ``snapshot_seq`` onto it
 (:func:`~repro.graph.csr.apply_edit`, the order
-:meth:`KRCoreSession.edit` applies edits in) and checks the result's
-array fingerprint (:func:`~repro.graph.ingest.csr_fingerprint`) against
-the current one.  A changed array element, a malformed blob, or an
-altered or missing log payload raises :class:`StoreError`: a graph is
-served exactly or not at all.  A save of a graph whose log has pending
-entries writes a new snapshot, so the replay stays short; the entries
-stay in the log as history.
+:meth:`KRCoreSession.edit` applies edits in, re-hashing the buckets they
+touch) and checks the result's fingerprint against the current one.  A
+changed array element, a malformed blob, or an altered or missing log
+payload raises :class:`StoreError`: a graph is served exactly or not at
+all.  A save of a graph whose log has pending entries writes a new
+snapshot, so the replay stays short; the entries stay in the log as
+history.
 
 Staleness safety
 ----------------
@@ -65,7 +73,11 @@ import numpy as np
 from repro.exceptions import GraphError, StoreError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph, apply_edit
-from repro.graph.ingest import csr_fingerprint
+from repro.graph.fingerprint import (
+    bucket_digests,
+    csr_fingerprint,
+    fingerprint_hex,
+)
 from repro.store.codec import (
     canonical_json,
     decode_attribute,
@@ -74,9 +86,10 @@ from repro.store.codec import (
 )
 
 #: Bump on any incompatible schema change; mismatched stores rebuild.
-#: Version 2: one array snapshot row per graph plus the edit log
-#: (version 1 kept a row per edge, attribute and label).
-SCHEMA_VERSION = 2
+#: Version 3: fingerprint v2 (:mod:`repro.graph.fingerprint`) in every
+#: fingerprint column.  Version 2 had the same tables under SHA-256 over
+#: text records; version 1 kept a row per edge, attribute and label.
+SCHEMA_VERSION = 3
 
 _TABLES = {
     "meta": "(key TEXT PRIMARY KEY, value TEXT NOT NULL)",
@@ -155,10 +168,35 @@ def _encode_snapshot(csr: CSRGraph) -> Tuple[Dict[str, np.ndarray], Optional[str
     return arrays, None
 
 
+def _snapshot_attributes(
+    arrays: Dict[str, np.ndarray], n: int
+) -> Tuple[np.ndarray, Union[np.ndarray, List[Any]]]:
+    """The attributed vertex ids of a snapshot and their values: the
+    float64 point column as stored, or the decoded values of an encoded
+    column — the ``(ids, values)`` pair
+    :func:`~repro.graph.fingerprint.bucket_digests` takes.
+
+    Raises :class:`StoreError` unless the ids ascend strictly (every
+    save writes them so) and name vertices of an ``n``-vertex graph.
+    """
+    if "points" in arrays:
+        ids, values = arrays["point_ids"], arrays["points"]
+    else:
+        ids = arrays["attr_ids"]
+        codes = arrays["attr_codes"].tobytes().decode()
+        values = [decode_attribute(c) for c in codes.split("\n")] if ids.size else []
+    if len(values) != ids.size or (np.diff(ids) <= 0).any() or (
+        ids.size and (ids[0] < 0 or ids[-1] >= n)
+    ):
+        raise StoreError("snapshot attribute ids are not distinct vertices")
+    return ids, values
+
+
 def _snapshot_graph(
     n: int, arrays: Dict[str, np.ndarray], labels: Optional[str]
 ) -> CSRGraph:
-    """The graph a snapshot's columns decode to (unvalidated).
+    """The graph a snapshot's columns decode to, validated, with its
+    bucket digests built from the columns.
 
     Point attributes come back as ``(float, float)`` tuples and seed the
     graph's geo-point column; encoded ones as
@@ -167,27 +205,23 @@ def _snapshot_graph(
     indptr = arrays["indptr"]
     if indptr.shape != (n + 1,):
         raise StoreError(f"snapshot indptr has shape {indptr.shape}, n is {n}")
-    if "points" in arrays:
-        ids, points = arrays["point_ids"], arrays["points"]
-        values = zip(points[:, 0].tolist(), points[:, 1].tolist())
-    else:
-        ids = arrays["attr_ids"]
-        codes = arrays["attr_codes"].tobytes().decode()
-        values = map(decode_attribute, codes.split("\n") if ids.size else ())
-    attributes = dict(zip(ids.tolist(), values))
-    if len(attributes) != ids.size or (
-        ids.size and (ids.min() < 0 or ids.max() >= n)
-    ):
-        raise StoreError("snapshot attribute ids are not distinct vertices")
+    ids, values = _snapshot_attributes(arrays, n)
+    points = isinstance(values, np.ndarray)
+    attributes = dict(zip(
+        ids.tolist(),
+        zip(values[:, 0].tolist(), values[:, 1].tolist()) if points else values,
+    ))
     label_list = json.loads(labels) if labels is not None else None
     if label_list is not None and (
         len(label_list) != n or not all(isinstance(x, str) for x in label_list)
     ):
         raise StoreError("snapshot labels are not one string per vertex")
     csr = CSRGraph(indptr, arrays["indices"], attributes, label_list)
-    if "points" in arrays:
+    csr.validate()
+    csr._digests = bucket_digests(*csr.edge_array(), ids, values)
+    if points:
         csr._geo = np.full((n, 2), np.nan, dtype=np.float64)
-        csr._geo[ids] = points
+        csr._geo[ids] = values
     return csr
 
 
@@ -305,9 +339,10 @@ class GraphStore:
 
         ``graph`` may be either form; an :class:`AttributedGraph` is
         frozen to CSR first.  The fingerprint is that of the graph
-        :meth:`load_graph` will return — point attributes are stored,
-        and so fingerprinted, as the ``(float, float)`` pairs a load
-        decodes, whatever number types or sequence the caller used.
+        :meth:`load_graph` will return, hashed from the snapshot columns
+        — point attributes are stored, and so fingerprinted, as the
+        float64 pairs a load decodes, whatever number types or sequence
+        the caller used.
 
         Re-saving an identical graph whose log has no pending entries is
         a no-op (derived rows survive).  Saving a changed graph, or any
@@ -318,7 +353,11 @@ class GraphStore:
         """
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_attributed(graph)
         arrays, labels = _encode_snapshot(csr)
-        fp = csr_fingerprint(_snapshot_graph(csr.vertex_count, arrays, labels))
+        fp = fingerprint_hex(
+            bucket_digests(
+                *csr.edge_array(), *_snapshot_attributes(arrays, csr.vertex_count)
+            )
+        )
         now = time.time()
         with self._lock, self._conn:
             row = self._conn.execute(
@@ -355,6 +394,10 @@ class GraphStore:
         """The stored graph: its snapshot with the pending edit-log
         entries replayed, verified against the stored fingerprint.
 
+        The snapshot's buckets are hashed from its columns and the replay
+        re-hashes the buckets each entry touches; the returned graph
+        keeps the digests, so its next edits carry them on.
+
         Raises :class:`StoreError` when there is no such graph, when the
         snapshot's arrays are not a canonical CSR or fail to decode, when
         a pending log payload fails to decode or apply, and when the
@@ -376,7 +419,6 @@ class GraphStore:
             ).fetchall()
         try:
             graph = _snapshot_graph(n, _unpack_arrays(blob), labels)
-            graph.validate()
             for (payload,) in pending:
                 graph = apply_edit(graph, **decode_edit(payload))
             actual = csr_fingerprint(graph)

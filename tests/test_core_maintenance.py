@@ -28,6 +28,7 @@ from repro.fuzz.differential import (
 from repro.fuzz.space import FuzzCase, sample_edit_stream_case
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.components import connected_components, local_components
+from repro.graph import csr as csr_module
 from repro.graph.csr import CSRGraph
 from repro.graph.kcore import incremental_kcore_update, k_core_vertices
 from repro.similarity.cache import EdgeSimilarityCache
@@ -406,9 +407,13 @@ class TestEvictionSymmetry:
         assert ms.maintained == 1
         assert ms.components_merged == 1
         assert ms.results_evicted == 2  # BOTH predecessors' entries
+        # evicted keys leave the unsaved set too: it would otherwise keep
+        # every dead component signature alive until the next save
+        assert session.cache_stats()["results"]["unsaved"] == 0
         _, stats = session.enumerate(2, predicate=pred, with_stats=True)
         assert stats.cache_misses == 1  # only the merged component
         assert stats.cache_hits == 0
+        assert session.cache_stats()["results"]["unsaved"] == 1
         assert_matches_fresh(session, 2, pred, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -494,6 +499,18 @@ class TestEditStreamHarness:
         assert result.disagreement is not None
         monkeypatch.delenv(FAULT_ENV)
         assert run_edit_stream_case(self._case()).ok
+
+    def test_fingerprint_fault_is_reported(self, monkeypatch):
+        # A re-hash that skips the touched bucket leaves the carried
+        # fingerprint on the pre-edit graph; the edit stream must say so.
+        assert run_edit_stream_case(self._case()).ok
+        monkeypatch.setattr(
+            csr_module, "rehash_bucket", lambda csr, digests, u: dict(digests)
+        )
+        result = run_edit_stream_case(self._case())
+        assert result.disagreement is not None
+        assert result.disagreement.kind == "fingerprint-drift"
+        assert "carried" in result.disagreement.detail
 
     def test_run_case_dispatches_on_edits(self, monkeypatch):
         # run_case must route edit-stream cases to the maintained-vs-

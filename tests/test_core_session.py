@@ -39,7 +39,7 @@ from repro.exceptions import (
 from repro.fuzz.differential import PARITY_COUNTERS
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
-from repro.graph.ingest import csr_fingerprint
+from repro.graph.fingerprint import csr_fingerprint
 from repro.graph.io import graph_fingerprint
 from repro.similarity.cache import EdgeSimilarityCache
 from repro.similarity.metrics import MetricKind

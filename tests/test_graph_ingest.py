@@ -18,10 +18,10 @@ import repro.graph.ingest as ingest_mod
 import repro.graph.io as graph_io
 from repro.exceptions import IngestError
 from repro.graph.csr import CSRGraph
+from repro.graph.fingerprint import csr_fingerprint
 from repro.graph.ingest import (
     DEFAULT_CHUNK_LINES,
     IngestStats,
-    csr_fingerprint,
     ingest_attributed_graph,
     ingest_attributes,
     ingest_edge_list,

@@ -17,7 +17,7 @@ import pytest
 from conftest import as_sorted_sets, make_random_attr_graph
 from repro.core.session import KRCoreSession
 from repro.exceptions import ServiceError
-from repro.graph.ingest import csr_fingerprint
+from repro.graph.fingerprint import csr_fingerprint
 from repro.graph.io import graph_fingerprint
 from repro.serve import KRCoreService, make_server, run_server
 from repro.serve.http import KRCoreRequestHandler

@@ -1,5 +1,6 @@
 """Persistent graph store: codecs, staleness guards, warm-start parity."""
 
+import hashlib
 import json
 import sqlite3
 
@@ -12,12 +13,17 @@ from repro.core.session import KRCoreSession
 from repro.exceptions import StoreError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
-from repro.graph.ingest import csr_fingerprint
+from repro.graph.fingerprint import canonical_attribute, csr_fingerprint
 from repro.graph.io import graph_fingerprint
 from repro.similarity.threshold import SimilarityPredicate
 from repro.similarity.metrics import _METRIC_NAMES
 from repro.store import SCHEMA_VERSION, GraphStore, codec
-from repro.store.store import _pack_arrays, _unpack_arrays
+from repro.store.store import (
+    _TABLES,
+    _encode_snapshot,
+    _pack_arrays,
+    _unpack_arrays,
+)
 
 BACKENDS = ("python", "csr")
 
@@ -490,7 +496,7 @@ class TestSaveCSRGraph:
         return ingest_edge_list(io.StringIO(text))
 
     def test_round_trip_via_load_graph(self, db):
-        from repro.graph.ingest import csr_fingerprint
+        from repro.graph.fingerprint import csr_fingerprint
         csr = self._ingested()
         with GraphStore(db) as store:
             fp = store.save_csr_graph("g", csr)
@@ -540,7 +546,8 @@ class TestSaveCSRGraph:
     def test_attributed_csr_round_trip(self, db):
         import io
 
-        from repro.graph.ingest import csr_fingerprint, ingest_attributed_graph
+        from repro.graph.fingerprint import csr_fingerprint
+        from repro.graph.ingest import ingest_attributed_graph
         csr = ingest_attributed_graph(
             io.StringIO("0 1\n1 2\n"),
             io.StringIO("0 a b\n1 c\n2 d\n"), "set",
@@ -760,6 +767,20 @@ class TestTamperRefused:
             with pytest.raises(StoreError):
                 KRCoreSession.load(store, "g")
 
+    def test_corrupted_fingerprint_refused(self, db):
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", _geo_triangle_path())
+            store.load_graph("g")
+        raw = sqlite3.connect(db)
+        raw.execute(
+            "UPDATE graphs SET fingerprint = ?", (fp[:-1] + "0" * (fp[-1] != "0"),)
+        )
+        raw.commit()
+        raw.close()
+        with GraphStore(db) as store:
+            with pytest.raises(StoreError, match="fingerprint check"):
+                store.load_graph("g")
+
     def test_garbage_blob_refused(self, db):
         with GraphStore(db) as store:
             store.save_graph("g", small_attr_graph())
@@ -891,7 +912,75 @@ def _write_v1_database(path):
     raw.close()
 
 
+def _v2_text_fingerprint(g):
+    """The version-2 fingerprint: SHA-256 over ``"e u v"`` and
+    ``"a u <canonical>"`` text lines."""
+    h = hashlib.sha256()
+    for u, v in sorted(tuple(sorted(e)) for e in g.edges()):
+        h.update(f"e {u} {v}\n".encode())
+    for u in sorted(g.vertices()):
+        if g.has_attribute(u):
+            h.update(f"a {u} {canonical_attribute(g.attribute(u))}\n".encode())
+    return h.hexdigest()
+
+
+def _write_v2_database(path):
+    """A database in the version-2 layout — today's tables — whose rows
+    carry version-2 fingerprints: a snapshot with one pending edit, an
+    edge-metric row and a result row."""
+    g = small_attr_graph()
+    fp = _v2_text_fingerprint(g)
+    arrays, labels = _encode_snapshot(CSRGraph.from_attributed(g))
+    g.add_edge(3, 4)
+    fp_edited = _v2_text_fingerprint(g)
+    raw = sqlite3.connect(path)
+    for table, spec in _TABLES.items():
+        raw.execute(f"CREATE TABLE {table} {spec}")
+    raw.execute("INSERT INTO meta VALUES ('schema_version', '2')")
+    raw.execute(
+        "INSERT INTO graphs VALUES ('g', 5, 4, ?, 0, ?, 0, 0, ?)",
+        (fp_edited, labels, _pack_arrays(arrays)),
+    )
+    raw.execute(
+        "INSERT INTO edits VALUES ('g', 1, 0, ?, ?)",
+        (codec.encode_edit([(3, 4)], [], {}), fp_edited),
+    )
+    raw.execute(
+        "INSERT INTO edge_metrics VALUES ('g', 'jaccard', 'csr', ?, '{}', "
+        "NULL)", (fp_edited,),
+    )
+    raw.execute("INSERT INTO results VALUES ('g', 'k', ?, 'v')", (fp_edited,))
+    raw.commit()
+    raw.close()
+    return fp, fp_edited
+
+
 class TestOldSchema:
+    def test_v2_database_rebuilt_and_serves_nothing(self, db):
+        old_fps = _write_v2_database(db)
+        with GraphStore(db) as store:
+            assert store.list_graphs() == []
+            assert not store.has_graph("g")
+            for load in (store.load_graph, store.load_results,
+                         store.load_edge_metrics, store.fingerprint):
+                with pytest.raises(StoreError):
+                    load("g")
+            with pytest.raises(StoreError):
+                KRCoreSession.load(store, "g")
+            assert store.edit_log("g") == []
+        raw = sqlite3.connect(db)
+        for table in ("graphs", "edits", "edge_metrics", "results"):
+            assert raw.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+        assert raw.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone() == (str(SCHEMA_VERSION),)
+        raw.close()
+        # the same graph saved again gets a version-3 fingerprint
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", small_attr_graph())
+            assert fp not in old_fps
+            assert store.load_graph("g").edge_count == 4
+
     def test_v1_database_rebuilt_and_serves_nothing(self, db):
         _write_v1_database(db)
         with GraphStore(db) as store:
